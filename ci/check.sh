@@ -16,6 +16,11 @@ cargo fmt --all --check
 echo "==> cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
+# the benchmark is a package of its own that builds against the public
+# API; building it here catches an API change that would break it
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test --workspace -q --offline"
 cargo test --workspace -q --offline
 

@@ -8,7 +8,9 @@
 //!
 //! * `generate/10k` — seed → scenario derivation (census draws, mode
 //!   variants, budgets), no compilation;
-//! * `lower/10k` — `Scenario::to_sweep_spec`, the front-door lowering;
+//! * `lower/10k` — `Scenario::to_sweep_spec`, the front-door lowering,
+//!   of a freshly generated scenario per iteration (the lowering is
+//!   memoized, so a repeat would time a memo hit);
 //! * `sched_check/10k` — joining a finished sweep's WCET bounds against
 //!   the frame budgets into the verdict report;
 //! * `sweep_warm/10k` — full warm replay of the 10k-unit sweep from the
@@ -73,11 +75,17 @@ fn main() {
         assert_eq!(s.units().len(), units);
         s.units().len() as u64
     });
-    g.bench("lower/10k", || {
-        let spec = scenario.to_sweep_spec();
-        assert_eq!(spec.units().len(), units);
-        spec.units().len() as u64
-    });
+    // lowering memoizes on the scenario, so each iteration lowers a
+    // freshly generated (never lowered) one; generation is not timed
+    g.bench_with_setup(
+        "lower/10k",
+        || Scenario::generate(&config).expect("generates"),
+        |fresh| {
+            let spec = fresh.to_sweep_spec();
+            assert_eq!(spec.units().len(), units);
+            spec.units().len() as u64
+        },
+    );
 
     // the acceptance criterion, measured rather than sampled: one cold
     // 10k-unit sweep per job count, digests compared bit for bit

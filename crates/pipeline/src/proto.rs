@@ -23,8 +23,9 @@
 //! `need` with the subset it has never parsed. Only those bodies travel —
 //! a fully warm request ships **zero unit bodies**, just `unit-ref`
 //! lines. The server keeps a bounded, LRU-evicting parse cache (digest →
-//! parsed AST + canonical text) so each distinct unit is parsed once per
-//! digest across requests, batches and clients; an evicted digest simply
+//! canonical text + its key prefix) so each distinct unit is uploaded,
+//! parsed and typechecked once per digest across requests, batches and
+//! clients; an evicted digest simply
 //! turns up in `need` again (or, if it races a sweep, yields an
 //! `unknown unit digest` error the client answers by re-uploading).
 //!
@@ -57,8 +58,10 @@
 //! ```
 //!
 //! Uploaded bodies are canonical pretty-printed MiniC and are verified
-//! against their declared digest at decode time, then parsed once into
-//! the server's parse cache; the parser/pretty round-trip is identity on
+//! against their declared digest at decode time, then parsed and
+//! typechecked once before entering the server's parse cache (an
+//! ill-typed body fails its own request, not the batch it would join);
+//! the parser/pretty round-trip is identity on
 //! ASTs (gated by `tests/parser_roundtrip.rs`), so the server derives
 //! **the same cache keys** a local run would — a client's cells hit the
 //! daemon's warm store exactly when a solo run would hit its own. The
@@ -854,12 +857,19 @@ impl SweepResponse {
         cells_digest(&self.cells) == self.digest
     }
 
-    /// The cell at labeled coordinates (first occurrence per axis).
+    /// The cell at labeled coordinates (first occurrence per axis, the
+    /// same contract as [`SweepResult::get`]): each label resolves to its
+    /// axis position, which indexes the unit-major cell layout directly.
+    /// A cell whose own labels disagree with the axes is not returned.
     #[must_use]
     pub fn get(&self, unit: &str, config: &str, machine: &str) -> Option<&CellSummary> {
+        let position = |axis: &[String], label: &str| axis.iter().position(|l| l == label);
+        let u = position(&self.units, unit)?;
+        let c = position(&self.configs, config)?;
+        let m = position(&self.machines, machine)?;
         self.cells
-            .iter()
-            .find(|c| c.unit == unit && c.config == config && c.machine == machine)
+            .get((u * self.configs.len() + c) * self.machines.len() + m)
+            .filter(|cell| cell.unit == unit && cell.config == config && cell.machine == machine)
     }
 }
 
@@ -1426,6 +1436,17 @@ fn decode_sweep_payload(payload: &str) -> Result<SweepResponse, ProtoError> {
             cells.len()
         ));
     }
+    // cells must sit in the unit-major layout of the axes, which is what
+    // lets `SweepResponse::get` index instead of scan
+    for (i, cell) in cells.iter().enumerate() {
+        let (u, c, m) = (i / (nc * nm), i / nm % nc, i % nm);
+        if cell.unit != units[u] || cell.config != configs[c] || cell.machine != machines[m] {
+            return err(format!(
+                "cell {i} ({} {} {}) out of the axes' unit-major order",
+                cell.unit, cell.config, cell.machine
+            ));
+        }
+    }
     let response = SweepResponse {
         units,
         configs,
@@ -1580,7 +1601,7 @@ mod tests {
             let verified = PassConfig::for_level(OptLevel::Verified);
             let m = MachineConfig::mpc755();
             assert_eq!(
-                crate::store::artifact_key(&program_to_c(&a.source), &a.entry, &verified, &m),
+                crate::store::artifact_key(&program_to_c(a.source()), &a.entry, &verified, &m),
                 crate::store::artifact_key(body, &b.entry, &verified, &m),
                 "unit `{}` changed key over the wire",
                 a.name
@@ -1790,6 +1811,76 @@ mod tests {
         assert_eq!(back.cells, response.cells);
         assert_eq!(back.units, response.units);
         assert!(back.verify());
+    }
+
+    #[test]
+    fn response_get_indexes_like_sweep_result_get() {
+        // duplicated labels on the config and machine axes: lookups must
+        // resolve to the first occurrence, exactly as the solo result does
+        let nodes = fleet::named_suite();
+        let spec = SweepSpec::new()
+            .nodes(&nodes[..3])
+            .level(OptLevel::Verified)
+            .config("hot", &PassConfig::for_level(OptLevel::PatternO0))
+            .config("hot", &PassConfig::for_level(OptLevel::OptFull))
+            .machine("m", &MachineConfig::mpc755())
+            .machine("m", &MachineConfig::tiny_caches());
+        let result = crate::service::Pipeline::in_memory()
+            .run_sweep(&spec)
+            .expect("solo");
+        let response = SweepResponse::from_result(&result);
+        let mut units: Vec<&str> = nodes[..3].iter().map(|n| n.name()).collect();
+        units.push("no_such_unit");
+        for unit in units {
+            for config in ["verified", "hot", "no-such-config"] {
+                for machine in ["m", "no-such-machine"] {
+                    let solo = result.get(unit, config, machine);
+                    let served = response.get(unit, config, machine);
+                    assert_eq!(
+                        solo.is_some(),
+                        served.is_some(),
+                        "{unit}/{config}/{machine}"
+                    );
+                    if let (Some(solo), Some(served)) = (solo, served) {
+                        assert_eq!(served.wcet, solo.wcet());
+                        assert_eq!(served.output_digest, solo.outcome.artifact.output_digest());
+                        assert_eq!(
+                            (served.unit.as_str(), served.config.as_str()),
+                            (unit, config)
+                        );
+                    }
+                }
+            }
+        }
+        // first occurrence: the pattern-O0 column on the mpc755 machine
+        let first = response.get(nodes[0].name(), "hot", "m").expect("cell");
+        assert_eq!(*first, response.cells[2]);
+
+        // a cell whose labels disagree with the axes is never returned
+        let mut skewed = response.clone();
+        skewed.cells[0].unit = "elsewhere".into();
+        assert!(skewed.get(nodes[0].name(), "verified", "m").is_none());
+    }
+
+    #[test]
+    fn decode_rejects_cells_out_of_axis_order() {
+        let spec = normalize_spec(
+            &SweepSpec::new()
+                .nodes(&fleet::named_suite()[..2])
+                .level(OptLevel::Verified),
+            &MachineConfig::mpc755(),
+        );
+        let result = crate::service::Pipeline::in_memory()
+            .run_sweep(&spec)
+            .expect("solo");
+        let mut response = SweepResponse::from_result(&result);
+        response.cells.swap(0, 1);
+        // the digest still matches the (swapped) cells, so only the
+        // layout check can catch it
+        response.digest = cells_digest(&response.cells);
+        let text = encode_response(&Response::Sweep(response));
+        let error = decode_response(&text).expect_err("out-of-order cells");
+        assert!(error.0.contains("unit-major order"), "{error}");
     }
 
     #[test]

@@ -657,12 +657,13 @@ fn accept_loop(listener: &UnixListener, shared: &Arc<Shared>) {
 }
 
 /// Resolves a wire sweep into a runnable [`SweepSpec`] through the parse
-/// cache: a known digest replays its cached AST + canonical text without
-/// touching the body, a fresh digest parses its (digest-verified)
-/// uploaded body exactly once and caches it, and a fresh digest without
-/// a body is an error the client answers by re-uploading — nothing
-/// reaches the batch queue unless *every* unit resolved, so a failed
-/// request never admits a partial batch.
+/// cache: a known digest replays its cached canonical text and key
+/// prefix without touching the body, a fresh digest parses and
+/// typechecks its (digest-verified) uploaded body once and caches the
+/// text, and a fresh digest without a body is an error the client
+/// answers by re-uploading — nothing reaches the batch queue unless
+/// *every* unit resolved, so a failed request never admits a partial
+/// batch.
 fn resolve_sweep(wire: &WireSweep, shared: &Shared) -> Result<SweepSpec, String> {
     let m = &shared.metrics;
     let mut spec = SweepSpec::new();
@@ -671,11 +672,14 @@ fn resolve_sweep(wire: &WireSweep, shared: &Shared) -> Result<SweepSpec, String>
             Metrics::add(&m.units_uploaded, 1);
             shared.registry.incr("units_uploaded", 1);
         }
+        // a warm unit resolves from its parse-cache entry without hashing
+        // a byte of its text: the digest is the cache address and the
+        // entry carries its key prefix
         let resolved = match shared.store.parse_lookup(unit.digest) {
             Some(parsed) => {
                 Metrics::add(&m.parse_hits, 1);
                 shared.registry.incr("parse_hits", 1);
-                parsed
+                SweepUnit::from_parsed(&unit.name, &parsed, unit.digest, &unit.entry)
             }
             None => match &unit.body {
                 Some(body) => {
@@ -683,12 +687,20 @@ fn resolve_sweep(wire: &WireSweep, shared: &Shared) -> Result<SweepSpec, String>
                     shared.registry.incr("parse_misses", 1);
                     let ast = vericomp_minic::parse::parse(body)
                         .map_err(|e| format!("unit `{}` failed to parse: {e}", unit.name))?;
-                    let parsed = ParsedUnit {
-                        canonical: Arc::clone(body),
-                        ast: Arc::new(ast),
-                    };
-                    shared.store.parse_insert(unit.digest, parsed.clone());
-                    parsed
+                    // an ill-typed unit is rejected here, with its own
+                    // request, instead of failing the whole batch it
+                    // would otherwise join; only well-typed units enter
+                    // the parse cache
+                    vericomp_minic::typeck::check(&ast)
+                        .map_err(|e| format!("unit `{}` failed to typecheck: {e}", unit.name))?;
+                    let parsed = ParsedUnit::new(Arc::clone(body));
+                    // a fresh unit is about to miss the store: its
+                    // compile reuses this parse
+                    let fresh =
+                        SweepUnit::from_parsed(&unit.name, &parsed, unit.digest, &unit.entry)
+                            .with_parsed_source(ast);
+                    shared.store.parse_insert(unit.digest, parsed);
+                    fresh
                 }
                 None => {
                     return Err(format!(
@@ -698,12 +710,7 @@ fn resolve_sweep(wire: &WireSweep, shared: &Shared) -> Result<SweepSpec, String>
                 }
             },
         };
-        spec = spec.unit(SweepUnit::from_parsed(
-            &unit.name,
-            Arc::clone(&resolved.ast),
-            &unit.entry,
-            Arc::clone(&resolved.canonical),
-        ));
+        spec = spec.unit(resolved);
     }
     for (label, passes) in &wire.configs {
         spec = spec.config(label, passes);

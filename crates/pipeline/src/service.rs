@@ -1,9 +1,10 @@
 //! The compilation service: schedulable, cacheable compile→analyze jobs.
 //!
 //! A [`Pipeline`] owns a work-stealing [`ThreadPool`](crate::pool::ThreadPool)
-//! and an [`ArtifactStore`]. Work arrives as [`CompileUnit`]s — (source
-//! translation unit, entry, pass configuration) triples — and each unit
-//! becomes a two-stage chain in a [`JobGraph`]: a *compile* job (cache
+//! and an [`ArtifactStore`]. Work arrives as sweep cells — a
+//! [`SweepUnit`] (canonical source, entry) crossed with a pass
+//! configuration and a machine — and each cell becomes a two-stage chain
+//! in a [`JobGraph`]: a *compile* job (cache
 //! lookup, then compile + translation-validate on a miss) feeding an
 //! *analyze* job (WCET analysis + cache insert). Chains of different units
 //! are independent, so the stages of separate nodes overlap freely while
@@ -11,8 +12,9 @@
 //!
 //! **Incrementality falls out of content addressing**: there is no
 //! explicit dirty-bit protocol. A changed node changes its generated
-//! source, which changes its [`artifact_key`], which misses; every
-//! untouched node hits and replays its stored verdict and WCET report.
+//! source, which changes its [`artifact_key`](crate::store::artifact_key),
+//! which misses; every untouched node hits and replays its stored verdict
+//! and WCET report.
 //! The dirty *cone* is exactly the set of units whose key changed —
 //! shared-global rewiring shows up in the consumer node's generated
 //! source, so consumers of a changed signal miss too.
@@ -25,14 +27,13 @@ use std::time::{Duration, Instant};
 
 use vericomp_arch::MachineConfig;
 use vericomp_core::{CompileError, Compiler, OptLevel, PassConfig};
-use vericomp_dataflow::{Application, ApplicationError, Node};
-use vericomp_minic::ast::Program as SrcProgram;
 use vericomp_wcet::AnalysisError;
 
 use crate::hash::{Digest, Hasher};
 use crate::pool::{JobGraph, ThreadPool};
 use crate::stats::{saturating_nanos, PipelineStats, StatsCell};
-use crate::store::{artifact_key, Artifact, ArtifactStore, Verdict};
+use crate::store::{finish_artifact_key, Artifact, ArtifactStore, Verdict};
+use crate::sweep::SweepUnit;
 use crate::trace::{RunTrace, Span, TraceSink};
 
 /// Configuration of a [`Pipeline`].
@@ -153,148 +154,6 @@ impl PipelineOptionsBuilder {
             }
         }
         Ok(self.options)
-    }
-}
-
-/// One schedulable unit of work: compile `source`'s `entry` under
-/// `passes`, then bound its WCET.
-#[derive(Debug, Clone)]
-pub struct CompileUnit {
-    /// Display name (node name, application name, …).
-    pub name: String,
-    /// Configuration label (e.g. `verified`), part of the artifact.
-    pub label: String,
-    /// The MiniC translation unit (shared — sweeps cross one unit with
-    /// many configs and machines without cloning the AST).
-    pub source: Arc<SrcProgram>,
-    /// Entry-point function.
-    pub entry: String,
-    /// Pass selection the unit compiles under.
-    pub passes: PassConfig,
-}
-
-impl CompileUnit {
-    /// Starts building a unit. Select the source with one of
-    /// [`node`](CompileUnitBuilder::node),
-    /// [`application`](CompileUnitBuilder::application) or
-    /// [`source`](CompileUnitBuilder::source), then the configuration with
-    /// [`level`](CompileUnitBuilder::level) or
-    /// [`passes`](CompileUnitBuilder::passes) (+
-    /// [`label`](CompileUnitBuilder::label)).
-    ///
-    /// ```
-    /// # use vericomp_pipeline::CompileUnit;
-    /// # use vericomp_core::OptLevel;
-    /// # use vericomp_dataflow::fleet;
-    /// let node = &fleet::named_suite()[0];
-    /// let unit = CompileUnit::builder().node(node).level(OptLevel::Verified).build();
-    /// assert_eq!(unit.label, "verified");
-    /// ```
-    #[must_use]
-    pub fn builder() -> CompileUnitBuilder {
-        CompileUnitBuilder {
-            name: None,
-            label: None,
-            source: None,
-            entry: None,
-            passes: PassConfig::for_level(OptLevel::Verified),
-        }
-    }
-}
-
-/// Builder for [`CompileUnit`]: pick a source, a pass selection, and a
-/// label, in any order.
-#[derive(Debug, Clone)]
-pub struct CompileUnitBuilder {
-    name: Option<String>,
-    label: Option<String>,
-    source: Option<SrcProgram>,
-    entry: Option<String>,
-    passes: PassConfig,
-}
-
-impl CompileUnitBuilder {
-    /// Compile a dataflow node (name, generated source and entry point all
-    /// come from the node).
-    #[must_use]
-    pub fn node(mut self, node: &Node) -> Self {
-        self.name = Some(node.name().to_owned());
-        self.source = Some(node.to_minic());
-        self.entry = Some(node.step_name().to_owned());
-        self
-    }
-
-    /// Compile a whole linked [`Application`] image.
-    ///
-    /// # Errors
-    ///
-    /// [`ApplicationError`] from linking the application's translation
-    /// unit.
-    pub fn application(mut self, app: &Application) -> Result<Self, ApplicationError> {
-        self.name = Some(app.name().to_owned());
-        self.source = Some(app.to_minic()?);
-        self.entry = Some(app.step_name().to_owned());
-        Ok(self)
-    }
-
-    /// Compile a raw MiniC translation unit.
-    #[must_use]
-    pub fn source(mut self, name: &str, source: SrcProgram, entry: &str) -> Self {
-        self.name = Some(name.to_owned());
-        self.source = Some(source);
-        self.entry = Some(entry.to_owned());
-        self
-    }
-
-    /// Compile under an [`OptLevel`] preset; the label defaults to the
-    /// level's name unless [`label`](Self::label) overrides it.
-    #[must_use]
-    pub fn level(mut self, level: OptLevel) -> Self {
-        self.passes = PassConfig::for_level(level);
-        self.label.get_or_insert_with(|| level.to_string());
-        self
-    }
-
-    /// Compile under an explicit pass selection.
-    #[must_use]
-    pub fn passes(mut self, passes: &PassConfig) -> Self {
-        self.passes = *passes;
-        self
-    }
-
-    /// Configuration label (part of the artifact's display identity).
-    #[must_use]
-    pub fn label(mut self, label: &str) -> Self {
-        self.label = Some(label.to_owned());
-        self
-    }
-
-    /// Override the entry-point function.
-    #[must_use]
-    pub fn entry(mut self, entry: &str) -> Self {
-        self.entry = Some(entry.to_owned());
-        self
-    }
-
-    /// Finishes the unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no source was selected ([`node`](Self::node),
-    /// [`application`](Self::application) or [`source`](Self::source)) —
-    /// that is a driver bug, not input-dependent.
-    #[must_use]
-    pub fn build(self) -> CompileUnit {
-        let source = self.source.expect(
-            "CompileUnit::builder(): select a source with .node()/.application()/.source()",
-        );
-        CompileUnit {
-            name: self.name.expect("source selection sets the name"),
-            label: self.label.unwrap_or_else(|| "verified".to_owned()),
-            source: Arc::new(source),
-            entry: self.entry.expect("source selection sets the entry"),
-            passes: self.passes,
-        }
     }
 }
 
@@ -498,11 +357,12 @@ impl Pipeline {
         for (i, cell) in cells.into_iter().enumerate() {
             let CellSpec {
                 unit,
-                canonical,
+                label,
+                passes,
                 machine,
+                machine_digest,
             } = cell;
-            let detail = format!("unit={} config={}", unit.name, unit.label);
-            let unit = Arc::new(unit);
+            let detail = format!("unit={} config={}", unit.name, label);
             let store = Arc::clone(&self.store);
             let stats1 = Arc::clone(&stats);
             let sinks1 = Arc::clone(&sinks);
@@ -523,9 +383,11 @@ impl Pipeline {
                     saturating_nanos(job_start.saturating_duration_since(submitted)),
                     &detail1,
                 ));
-                // the memoized canonical text *is* the key material: no
-                // per-cell pretty-print on either the hit or miss path
-                let key = artifact_key(&canonical, &unit1.entry, &unit1.passes, &machine);
+                // the unit's memoized key prefix already absorbed the
+                // canonical text: a cell hashes only entry, passes and
+                // machine digest, on the hit and the miss path alike
+                let key =
+                    finish_artifact_key(unit1.key_prefix(), &unit1.entry, &passes, machine_digest);
                 let t = Instant::now();
                 let hit = store.lookup(key, &machine);
                 let looked = t.elapsed();
@@ -547,9 +409,9 @@ impl Pipeline {
                         let mut pass_times = PassTimes(Vec::new());
                         let compiled = Compiler::with_config(OptLevel::Verified, machine)
                             .compile_with_passes_observed(
-                                &unit1.source,
+                                unit1.source(),
                                 &unit1.entry,
-                                &unit1.passes,
+                                &passes,
                                 &mut pass_times,
                             );
                         let took = t.elapsed();
@@ -616,7 +478,7 @@ impl Pipeline {
                     Stage1::Failed => return,
                     Stage1::Hit(artifact) => UnitOutcome {
                         name: unit.name.clone(),
-                        label: unit.label.clone(),
+                        label: label.clone(),
                         cached: true,
                         artifact,
                     },
@@ -668,14 +530,14 @@ impl Pipeline {
                             }
                         };
                         stats2[i].count_run();
-                        let artifact = Artifact {
+                        let artifact = Artifact::new(
                             key,
-                            entry: unit.entry.clone(),
-                            label: unit.label.clone(),
+                            unit.entry.clone(),
+                            label.clone(),
                             program,
-                            verdict: Verdict::from_passes(&unit.passes),
+                            Verdict::from_passes(&passes),
                             report,
-                        };
+                        );
                         let t = Instant::now();
                         let inserted = store2.insert(artifact);
                         let took = t.elapsed();
@@ -690,7 +552,7 @@ impl Pipeline {
                         match inserted {
                             Ok(artifact) => UnitOutcome {
                                 name: unit.name.clone(),
-                                label: unit.label.clone(),
+                                label: label.clone(),
                                 cached: false,
                                 artifact,
                             },
@@ -749,14 +611,17 @@ impl Pipeline {
     }
 }
 
-/// One fully-specified engine cell: a unit, its memoized canonical
-/// source text (the cache-key material — computed once per unit, shared
-/// across every cell the unit appears in), and the machine it targets.
+/// One fully-specified engine cell: a unit (shared by every cell it
+/// appears in, together with its memoized AST and key prefix), the
+/// config it compiles under, and the machine it targets with that
+/// machine's digest (computed once per sweep, not per cell).
 #[derive(Debug, Clone)]
 pub(crate) struct CellSpec {
-    pub(crate) unit: CompileUnit,
-    pub(crate) canonical: Arc<String>,
+    pub(crate) unit: Arc<SweepUnit>,
+    pub(crate) label: String,
+    pub(crate) passes: PassConfig,
     pub(crate) machine: MachineConfig,
+    pub(crate) machine_digest: Digest,
 }
 
 /// One engine cell's result: the outcome plus that cell's own stats
@@ -770,7 +635,7 @@ pub(crate) struct CellOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vericomp_dataflow::fleet;
+    use vericomp_dataflow::{fleet, Application, Node};
 
     fn suite_prefix(n: usize) -> Vec<Node> {
         let mut nodes = fleet::named_suite();
@@ -921,11 +786,5 @@ mod tests {
             conventional.cache_dir,
             Some(PipelineOptions::default_cache_dir())
         );
-    }
-
-    #[test]
-    fn unit_builder_requires_a_source() {
-        let r = std::panic::catch_unwind(|| CompileUnit::builder().build());
-        assert!(r.is_err(), "build() without a source must panic");
     }
 }

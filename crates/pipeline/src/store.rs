@@ -29,7 +29,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use vericomp_arch::program::{
     AnnotationEntry, ArgLoc, DataValue, ElemTy, FuncSym, GlobalSym, Program,
@@ -37,7 +37,6 @@ use vericomp_arch::program::{
 use vericomp_arch::reg::{Fpr, Gpr};
 use vericomp_arch::MachineConfig;
 use vericomp_core::PassConfig;
-use vericomp_minic::ast::Program as MinicProgram;
 use vericomp_wcet::WcetReport;
 
 use crate::hash::{Digest, Hasher};
@@ -84,6 +83,9 @@ pub fn machine_digest(config: &MachineConfig) -> Digest {
 /// exact input, which makes the key insensitive to *how* the unit was
 /// produced (hand-written, node codegen, application linking) and
 /// sensitive to *any* change in what gets compiled.
+///
+/// Equal to [`finish_artifact_key`] continuing [`artifact_key_prefix`]:
+/// callers keying one source under many cells hash the text once.
 #[must_use]
 pub fn artifact_key(
     source: &str,
@@ -91,11 +93,39 @@ pub fn artifact_key(
     passes: &PassConfig,
     config: &MachineConfig,
 ) -> Digest {
+    finish_artifact_key(
+        &artifact_key_prefix(source),
+        entry,
+        passes,
+        machine_digest(config),
+    )
+}
+
+/// The source-dependent prefix of [`artifact_key`]: the hasher state
+/// after the format and library versions and the canonical source. FNV-1a
+/// absorbs bytes strictly in order, so continuing a copy of this state
+/// with [`finish_artifact_key`] yields exactly [`artifact_key`]'s digest.
+#[must_use]
+pub fn artifact_key_prefix(source: &str) -> Hasher {
     let mut h = Hasher::new();
     h.u32(FORMAT_VERSION)
         .u32(vericomp_dataflow::SYMBOL_LIBRARY_VERSION)
-        .str(source)
-        .str(entry)
+        .str(source);
+    h
+}
+
+/// Completes an [`artifact_key`] from its source `prefix`
+/// ([`artifact_key_prefix`]) with the per-cell material: the entry, the
+/// ten pass flags and the target's [`machine_digest`].
+#[must_use]
+pub fn finish_artifact_key(
+    prefix: &Hasher,
+    entry: &str,
+    passes: &PassConfig,
+    machine: Digest,
+) -> Digest {
+    let mut h = prefix.clone();
+    h.str(entry)
         .bool(passes.mem2reg)
         .bool(passes.constprop)
         .bool(passes.cse)
@@ -106,8 +136,8 @@ pub fn artifact_key(
         .bool(passes.sda)
         .bool(passes.full_palette)
         .bool(passes.validators)
-        .u64(machine_digest(config).0 as u64)
-        .u64((machine_digest(config).0 >> 64) as u64);
+        .u64(machine.0 as u64)
+        .u64((machine.0 >> 64) as u64);
     h.finish()
 }
 
@@ -125,21 +155,36 @@ pub fn source_digest(canonical: &str) -> Digest {
     h.finish()
 }
 
-/// One parse-cache entry: the canonical source text and the AST parsed
-/// from it, both shared.
+/// One parse-cache entry: a canonical source text that parsed and
+/// typechecked when it entered the cache, plus the text's
+/// [`artifact_key_prefix`].
 ///
-/// Invariant: `ast` is exactly `parse(&canonical)` and — because
-/// parse∘pretty is identity on ASTs (`tests/parser_roundtrip.rs`) —
-/// `program_to_c(&ast) == *canonical`. That makes `canonical` valid
-/// [`artifact_key`] material for any cell built from `ast`, which is
-/// what lets the daemon skip both the parse and the pretty-print on
-/// warm requests without perturbing a single cache key.
+/// No AST is kept: only a cell that misses the artifact store needs one,
+/// and it parses the text then (`SweepUnit::source`). Because
+/// parse∘pretty is the identity on ASTs (`tests/parser_roundtrip.rs`),
+/// that AST pretty-prints back to exactly `canonical`, so `canonical`
+/// is valid [`artifact_key`] material — which is what lets the daemon
+/// serve a warm unit without its body, without a parse, without a
+/// pretty-print and, through `key_prefix`, without hashing the text.
 #[derive(Debug, Clone)]
 pub struct ParsedUnit {
     /// The canonical pretty-printed source (the digest preimage).
     pub canonical: Arc<String>,
-    /// The AST parsed from `canonical`.
-    pub ast: Arc<MinicProgram>,
+    /// [`artifact_key_prefix`] of `canonical`.
+    pub key_prefix: Hasher,
+}
+
+impl ParsedUnit {
+    /// A parse-cache entry for `canonical`, hashing the text into its key
+    /// prefix once. The caller has parsed and typechecked the text.
+    #[must_use]
+    pub fn new(canonical: Arc<String>) -> ParsedUnit {
+        let key_prefix = artifact_key_prefix(&canonical);
+        ParsedUnit {
+            canonical,
+            key_prefix,
+        }
+    }
 }
 
 /// The translation-validation verdict an artifact was accepted under.
@@ -202,9 +247,34 @@ pub struct Artifact {
     pub verdict: Verdict,
     /// The static WCET report of `entry`.
     pub report: WcetReport,
+    /// [`output_digest`](Artifact::output_digest), memoized on first use:
+    /// a stored artifact is shared immutably, and a warm sweep reports
+    /// the digest of every cell on every request.
+    output: OnceLock<Digest>,
 }
 
 impl Artifact {
+    /// An artifact from its parts.
+    #[must_use]
+    pub fn new(
+        key: Digest,
+        entry: String,
+        label: String,
+        program: Program,
+        verdict: Verdict,
+        report: WcetReport,
+    ) -> Artifact {
+        Artifact {
+            key,
+            entry,
+            label,
+            program,
+            verdict,
+            report,
+            output: OnceLock::new(),
+        }
+    }
+
     /// The artifact's size in bytes in the `.vcart` wire/disk encoding —
     /// the unit of the store's byte accounting. Deterministic: the
     /// encoding is a pure function of the artifact.
@@ -215,9 +285,14 @@ impl Artifact {
 
     /// A digest of the artifact's *outputs* (encoded text, annotation
     /// table, WCET bound) — used by determinism gates to compare serial
-    /// and parallel builds bit-for-bit.
+    /// and parallel builds bit-for-bit. Computed once per artifact; the
+    /// fields must not change after the first call.
     #[must_use]
     pub fn output_digest(&self) -> Digest {
+        *self.output.get_or_init(|| self.compute_output_digest())
+    }
+
+    fn compute_output_digest(&self) -> Digest {
         let mut h = Hasher::new();
         h.str(&self.entry).str(&self.label);
         for w in self.program.encode_text() {
@@ -254,10 +329,10 @@ pub struct StoreConfig {
     /// insert — callers pick the batch boundaries at which eviction may
     /// run, which keeps eviction order deterministic under concurrency.
     pub max_bytes: Option<u64>,
-    /// Resident-byte bound of the parse cache (canonical source text is
-    /// what gets accounted — the AST rides along, so this is a proxy
-    /// bound, documented as such). `None` = unbounded; the default keeps
-    /// a long-lived daemon from growing without limit.
+    /// Resident-byte bound of the parse cache, in canonical source text
+    /// bytes (entries hold the text and a fixed-size key prefix, no AST).
+    /// `None` = unbounded; the default keeps a long-lived daemon from
+    /// growing without limit.
     pub parse_bytes: Option<u64>,
 }
 
@@ -299,7 +374,7 @@ struct ShardMap {
 /// store's batch epoch, so its eviction order is deterministic too.
 struct ParseEntry {
     unit: ParsedUnit,
-    /// Accounted size: the canonical text length (AST size rides along).
+    /// Accounted size: the canonical text length.
     bytes: u64,
     stamp: u64,
 }
@@ -317,9 +392,9 @@ pub struct ArtifactStore {
     dir: Option<PathBuf>,
     shards: Vec<Mutex<ShardMap>>,
     max_bytes: Option<u64>,
-    /// Digest-addressed parsed-source cache (the daemon's "parse once
-    /// per digest" store), sharded like the artifact maps and stamped by
-    /// the same epoch.
+    /// Digest-addressed cache of validated canonical sources (the
+    /// daemon's "upload and check once per digest" store), sharded like
+    /// the artifact maps and stamped by the same epoch.
     parse_shards: Vec<Mutex<ParseShard>>,
     parse_max_bytes: Option<u64>,
     /// Batch-granular logical clock: callers advance it once per batch
@@ -971,20 +1046,20 @@ pub fn decode_artifact(text: &str, config: &MachineConfig) -> Option<Artifact> {
         sda_base: sda_base?,
         annotations,
     };
-    Some(Artifact {
-        key: key?,
-        entry: entry?,
-        label: label?,
+    Some(Artifact::new(
+        key?,
+        entry?,
+        label?,
         program,
-        verdict: verdict?,
-        report: WcetReport {
+        verdict?,
+        WcetReport {
             wcet: wcet?,
             loop_bounds,
             block_count,
             callees,
             block_costs,
         },
-    })
+    ))
 }
 
 #[cfg(test)]
@@ -1025,14 +1100,14 @@ mod tests {
             .expect("analyzes")
             .report;
         let source = vericomp_minic::pretty::program_to_c(&src);
-        Artifact {
-            key: artifact_key(&source, "step", &passes, &config),
-            entry: "step".into(),
-            label: "verified".into(),
+        Artifact::new(
+            artifact_key(&source, "step", &passes, &config),
+            "step".into(),
+            "verified".into(),
             program,
-            verdict: Verdict::from_passes(&passes),
+            Verdict::from_passes(&passes),
             report,
-        }
+        )
     }
 
     #[test]
@@ -1129,14 +1204,14 @@ mod tests {
             .expect("analyzes")
             .report;
         let source = vericomp_minic::pretty::program_to_c(&src);
-        Artifact {
-            key: artifact_key(&source, &entry, &passes, &config),
+        Artifact::new(
+            artifact_key(&source, &entry, &passes, &config),
             entry,
-            label: "verified".into(),
+            "verified".into(),
             program,
-            verdict: Verdict::from_passes(&passes),
+            Verdict::from_passes(&passes),
             report,
-        }
+        )
     }
 
     #[test]
@@ -1270,19 +1345,116 @@ mod tests {
         assert_eq!(base, artifact_key(&src, "step", &verified, &m755));
     }
 
+    /// The key derivation as one pass over all the material — the
+    /// reference the split derivation must reproduce, and the one every
+    /// existing `.vcart` file is named by.
+    fn one_shot_key(source: &str, entry: &str, passes: &PassConfig, m: &MachineConfig) -> Digest {
+        let mut h = Hasher::new();
+        h.u32(FORMAT_VERSION)
+            .u32(vericomp_dataflow::SYMBOL_LIBRARY_VERSION)
+            .str(source)
+            .str(entry)
+            .bool(passes.mem2reg)
+            .bool(passes.constprop)
+            .bool(passes.cse)
+            .bool(passes.dce)
+            .bool(passes.tunnel)
+            .bool(passes.strength)
+            .bool(passes.schedule)
+            .bool(passes.sda)
+            .bool(passes.full_palette)
+            .bool(passes.validators)
+            .u64(machine_digest(m).0 as u64)
+            .u64((machine_digest(m).0 >> 64) as u64);
+        h.finish()
+    }
+
+    #[test]
+    fn split_key_is_bit_identical_to_the_one_shot_key_on_fleet26() {
+        let machines = [MachineConfig::mpc755(), MachineConfig::tiny_caches()];
+        let levels = [OptLevel::PatternO0, OptLevel::Verified, OptLevel::OptFull];
+        let mut all = Hasher::new();
+        for node in vericomp_dataflow::fleet::named_suite() {
+            let source = vericomp_minic::pretty::program_to_c(&node.to_minic());
+            let entry = node.step_name();
+            let prefix = artifact_key_prefix(&source);
+            for level in levels {
+                let passes = PassConfig::for_level(level);
+                for m in &machines {
+                    let reference = one_shot_key(&source, entry, &passes, m);
+                    let split = finish_artifact_key(&prefix, entry, &passes, machine_digest(m));
+                    assert_eq!(split, reference, "{} / {level}", node.name());
+                    assert_eq!(artifact_key(&source, entry, &passes, m), reference);
+                    all.u64(reference.0 as u64).u64((reference.0 >> 64) as u64);
+                }
+            }
+        }
+        // pinned: any drift orphans every cache dir written so far
+        assert_eq!(all.finish().to_hex(), "4de72051ae579a32059c945f8e75caf2");
+    }
+
+    #[test]
+    fn a_cache_dir_written_under_one_shot_keys_still_hits() {
+        let dir =
+            std::env::temp_dir().join(format!("vericomp-store-oneshot-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let node = &vericomp_dataflow::fleet::named_suite()[0];
+        let source = vericomp_minic::pretty::program_to_c(&node.to_minic());
+        let passes = PassConfig::for_level(OptLevel::Verified);
+        let key = one_shot_key(&source, node.step_name(), &passes, &MachineConfig::mpc755());
+        // an artifact persisted under its one-shot key
+        let program = Compiler::new(OptLevel::Verified)
+            .compile(&node.to_minic(), node.step_name())
+            .expect("compiles");
+        let report = vericomp_wcet::Analyzer::default()
+            .analyze(&vericomp_wcet::AnalysisRequest::new(
+                &program,
+                node.step_name(),
+            ))
+            .expect("analyzes")
+            .report;
+        let stored = Artifact::new(
+            key,
+            node.step_name().to_owned(),
+            "verified".into(),
+            program,
+            Verdict::from_passes(&passes),
+            report,
+        );
+        ArtifactStore::persistent(&dir)
+            .expect("creates dir")
+            .insert(stored.clone())
+            .expect("persists");
+        // a fresh pipeline over that directory replays it from disk
+        let pipeline = crate::service::Pipeline::new(
+            &crate::service::PipelineOptions::builder()
+                .cache_dir(&dir)
+                .build()
+                .expect("options"),
+        )
+        .expect("pipeline");
+        let sweep = pipeline
+            .run_sweep(
+                &crate::sweep::SweepSpec::new()
+                    .node(node)
+                    .level(OptLevel::Verified),
+            )
+            .expect("sweep");
+        assert_eq!(sweep.stats.jobs_cached, 1, "the persisted artifact missed");
+        assert_eq!(
+            sweep.cells()[0].outcome.artifact.output_digest(),
+            stored.output_digest()
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     fn parsed_unit_named(i: usize) -> (Digest, ParsedUnit) {
         // distinct single-function programs with canonical = pretty(ast)
         let text = format!("int g{i};\nvoid f{i}() {{ g{i} = {i}; }}");
         let ast = vericomp_minic::parse::parse(&text).expect("parses");
         let canonical = Arc::new(vericomp_minic::pretty::program_to_c(&ast));
         let digest = source_digest(&canonical);
-        (
-            digest,
-            ParsedUnit {
-                canonical,
-                ast: Arc::new(ast),
-            },
-        )
+        (digest, ParsedUnit::new(canonical))
     }
 
     #[test]

@@ -43,7 +43,7 @@
 
 use std::fmt;
 use std::ops::Index;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use vericomp_arch::MachineConfig;
@@ -53,45 +53,58 @@ use vericomp_minic::ast::Program as SrcProgram;
 use vericomp_minic::pretty::program_to_c;
 
 use crate::hash::{Digest, Hasher};
-use crate::service::{CellSpec, CompileUnit, Pipeline, PipelineError, UnitOutcome};
+use crate::service::{CellSpec, Pipeline, PipelineError, UnitOutcome};
 use crate::stats::PipelineStats;
-use crate::store::source_digest;
+use crate::store::{artifact_key_prefix, machine_digest, source_digest, ParsedUnit};
 use crate::trace::{RunTrace, Span};
 
 /// One entry of the sweep's unit axis: a named translation unit with its
-/// entry point. Unlike [`CompileUnit`] it carries **no pass selection** —
-/// configs are their own axis.
+/// entry point. It carries **no pass selection** — configs are their own
+/// axis.
 ///
-/// Construction pretty-prints the AST **once** and memoizes the canonical
-/// text plus its [`source_digest`]; every cell key derivation, wire
-/// negotiation and dedup downstream reuses the memo instead of
-/// re-rendering the program per cell (on a 10k-unit sweep the old
-/// per-cell `program_to_c` dominated warm-path time). The AST itself is
-/// shared by `Arc`, so cloning a unit across the cross product is
-/// pointer-cheap.
+/// A unit *is* its canonical pretty-printed text plus that text's
+/// [`source_digest`], both fixed at construction: every cell key
+/// derivation, wire negotiation and dedup downstream reuses them instead
+/// of re-rendering the program per cell. The rest is derived on first
+/// use and shared by every clone (so by every cell of the cross
+/// product):
+///
+/// * the AST ([`source`](SweepUnit::source)), parsed from the text. Only
+///   a cell that misses the store compiles, so a warm replay never
+///   parses, and no unit keeps the AST it was built from — an AST costs
+///   several times its text in memory, and specs, lowering memos and
+///   the daemon's parse cache hold thousands of units;
+/// * the [`artifact_key_prefix`]: the text is hashed into the key once
+///   per unit, not once per cell.
 #[derive(Debug, Clone)]
 pub struct SweepUnit {
     /// Axis label (node or application name) — the `unit` coordinate in
     /// lookups.
     pub name: String,
-    /// The MiniC translation unit.
-    pub source: Arc<SrcProgram>,
     /// Entry-point function.
     pub entry: String,
     canonical: Arc<String>,
     digest: Digest,
+    derived: Arc<Derived>,
+}
+
+/// The lazily derived, clone-shared half of a [`SweepUnit`].
+#[derive(Debug, Default)]
+struct Derived {
+    ast: OnceLock<SrcProgram>,
+    key_prefix: OnceLock<Hasher>,
 }
 
 impl SweepUnit {
-    fn from_ast(name: String, source: Arc<SrcProgram>, entry: String) -> SweepUnit {
-        let canonical = Arc::new(program_to_c(&source));
+    fn from_ast(name: String, source: &SrcProgram, entry: String) -> SweepUnit {
+        let canonical = Arc::new(program_to_c(source));
         let digest = source_digest(&canonical);
         SweepUnit {
             name,
-            source,
             entry,
             canonical,
             digest,
+            derived: Arc::default(),
         }
     }
 
@@ -100,7 +113,7 @@ impl SweepUnit {
     pub fn from_node(node: &Node) -> SweepUnit {
         SweepUnit::from_ast(
             node.name().to_owned(),
-            Arc::new(node.to_minic()),
+            &node.to_minic(),
             node.step_name().to_owned(),
         )
     }
@@ -114,7 +127,7 @@ impl SweepUnit {
     pub fn from_application(app: &Application) -> Result<SweepUnit, ApplicationError> {
         Ok(SweepUnit::from_ast(
             app.name().to_owned(),
-            Arc::new(app.to_minic()?),
+            &app.to_minic()?,
             app.step_name().to_owned(),
         ))
     }
@@ -122,36 +135,88 @@ impl SweepUnit {
     /// The unit axis entry for a raw MiniC translation unit.
     #[must_use]
     pub fn from_source(name: &str, source: SrcProgram, entry: &str) -> SweepUnit {
-        SweepUnit::from_ast(name.to_owned(), Arc::new(source), entry.to_owned())
+        SweepUnit::from_ast(name.to_owned(), &source, entry.to_owned())
     }
 
-    /// The unit axis entry for an already-parsed unit whose canonical
-    /// text is known — the server's parse cache builds specs this way,
-    /// skipping both the parse *and* the pretty-print.
+    /// The unit axis entry for a canonical text whose digest is already
+    /// known — lowering memos (`Scenario::to_sweep_spec`) build units
+    /// this way, so a repeat lowering costs `Arc` clones, not a
+    /// pretty-print and a hash.
     ///
-    /// `canonical` must be exactly `program_to_c(&source)`; the parse
-    /// cache guarantees it by construction (it stores the text it
-    /// parsed, and parse∘pretty is identity on ASTs).
+    /// `canonical` must be printer output (`program_to_c` of some
+    /// program) and `digest` its [`source_digest`].
     #[must_use]
-    pub fn from_parsed(
+    pub fn from_canonical(
         name: &str,
-        source: Arc<SrcProgram>,
-        entry: &str,
         canonical: Arc<String>,
+        digest: Digest,
+        entry: &str,
     ) -> SweepUnit {
         debug_assert_eq!(
-            program_to_c(&source),
-            *canonical,
-            "canonical text out of sync with AST for unit `{name}`"
+            digest,
+            source_digest(&canonical),
+            "digest out of sync with canonical text for unit `{name}`"
         );
-        let digest = source_digest(&canonical);
         SweepUnit {
             name: name.to_owned(),
-            source,
             entry: entry.to_owned(),
             canonical,
             digest,
+            derived: Arc::default(),
         }
+    }
+
+    /// The unit axis entry for a parse-cache entry — the server builds
+    /// specs this way, with no parse, no pretty-print and no hash of the
+    /// text: `digest` is the entry's parse-cache address (the
+    /// `source_digest` the wire decoder verified when the body was
+    /// uploaded), and the entry carries its key prefix.
+    #[must_use]
+    pub fn from_parsed(name: &str, parsed: &ParsedUnit, digest: Digest, entry: &str) -> SweepUnit {
+        debug_assert_eq!(digest, source_digest(&parsed.canonical));
+        SweepUnit {
+            name: name.to_owned(),
+            entry: entry.to_owned(),
+            canonical: Arc::clone(&parsed.canonical),
+            digest,
+            derived: Arc::new(Derived {
+                ast: OnceLock::new(),
+                key_prefix: OnceLock::from(parsed.key_prefix.clone()),
+            }),
+        }
+    }
+
+    /// Hands a freshly built unit the AST its caller just parsed from
+    /// the canonical text, so a miss does not parse it again.
+    pub(crate) fn with_parsed_source(self, ast: SrcProgram) -> SweepUnit {
+        debug_assert_eq!(program_to_c(&ast), *self.canonical);
+        let _ = self.derived.ast.set(ast);
+        self
+    }
+
+    /// The MiniC translation unit, parsed from the canonical text on
+    /// first use when the unit was built from text alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a [`from_canonical`](SweepUnit::from_canonical) text
+    /// is not printer output and fails to parse — a caller bug (every
+    /// other constructor holds printer output or parse-checked text).
+    #[must_use]
+    pub fn source(&self) -> &SrcProgram {
+        self.derived.ast.get_or_init(|| {
+            vericomp_minic::parse::parse(&self.canonical).unwrap_or_else(|e| {
+                panic!("canonical text of unit `{}` does not parse: {e}", self.name)
+            })
+        })
+    }
+
+    /// The [`artifact_key_prefix`] of the canonical text, hashed on first
+    /// use.
+    pub(crate) fn key_prefix(&self) -> &Hasher {
+        self.derived
+            .key_prefix
+            .get_or_init(|| artifact_key_prefix(&self.canonical))
     }
 
     /// The canonical pretty-printed source — the exact text cell cache
@@ -556,20 +621,21 @@ impl Pipeline {
             spec.machines.clone()
         };
 
+        // per sweep, not per cell: each machine's digest, and each unit
+        // behind one `Arc` its cells share
+        let machine_digests: Vec<Digest> =
+            machines.iter().map(|(_, m)| machine_digest(m)).collect();
         let mut cells = Vec::with_capacity(spec.units.len() * configs.len() * machines.len());
         for unit in &spec.units {
+            let unit = Arc::new(unit.clone());
             for (config_label, passes) in &configs {
-                for (_, machine) in &machines {
+                for ((_, machine), &machine_digest) in machines.iter().zip(&machine_digests) {
                     cells.push(CellSpec {
-                        unit: CompileUnit {
-                            name: unit.name.clone(),
-                            label: config_label.clone(),
-                            source: Arc::clone(&unit.source),
-                            entry: unit.entry.clone(),
-                            passes: *passes,
-                        },
-                        canonical: Arc::clone(&unit.canonical),
+                        unit: Arc::clone(&unit),
+                        label: config_label.clone(),
+                        passes: *passes,
                         machine: machine.clone(),
+                        machine_digest,
                     });
                 }
             }

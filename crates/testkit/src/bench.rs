@@ -75,15 +75,45 @@ impl Bench {
 
     /// Times one closure: calibrate batch size, then measure.
     pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) {
-        let target = target_batch_nanos();
-        // calibration: double until one batch crosses the target
-        let mut iters: u64 = 1;
-        loop {
+        self.measure(name, |iters| {
             let t0 = Instant::now();
             for _ in 0..iters {
                 black_box(f());
             }
-            let elapsed = t0.elapsed().as_nanos();
+            t0.elapsed().as_nanos()
+        });
+    }
+
+    /// Times `f` on a fresh input from `setup` per iteration; only `f` is
+    /// timed (building and dropping the input is not). For routines that
+    /// memoize their work, so that repeating them on one input would time
+    /// a memo hit.
+    pub fn bench_with_setup<S, T>(
+        &mut self,
+        name: &str,
+        mut setup: impl FnMut() -> S,
+        mut f: impl FnMut(&S) -> T,
+    ) {
+        self.measure(name, |iters| {
+            let mut nanos = 0;
+            for _ in 0..iters {
+                let input = setup();
+                let t0 = Instant::now();
+                black_box(f(&input));
+                nanos += t0.elapsed().as_nanos();
+            }
+            nanos
+        });
+    }
+
+    /// Calibrates and samples `batch`, which runs the benchmark `iters`
+    /// times and returns the nanoseconds it timed.
+    fn measure(&mut self, name: &str, mut batch: impl FnMut(u64) -> u128) {
+        let target = target_batch_nanos();
+        // calibration: double until one batch crosses the target
+        let mut iters: u64 = 1;
+        loop {
+            let elapsed = batch(iters);
             if elapsed >= target || iters >= 1 << 30 {
                 break;
             }
@@ -97,11 +127,7 @@ impl Bench {
 
         let mut per_iter: Vec<f64> = Vec::with_capacity(self.samples_per_bench as usize);
         for _ in 0..self.samples_per_bench {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            per_iter.push(t0.elapsed().as_nanos() as f64 / iters as f64);
+            per_iter.push(batch(iters) as f64 / iters as f64);
         }
         let mean = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
         let min = per_iter.iter().copied().fold(f64::INFINITY, f64::min);

@@ -38,11 +38,13 @@ mod variants;
 pub use report::{SchedReport, SchedVerdict};
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use vericomp_dataflow::node::Node;
 use vericomp_dataflow::symbol::Symbol;
+use vericomp_minic::pretty::program_to_c;
 use vericomp_pipeline::hash::{Digest, Hasher};
-use vericomp_pipeline::{SweepResult, SweepSpec, SweepUnit};
+use vericomp_pipeline::{source_digest, SweepResult, SweepSpec, SweepUnit};
 
 use crate::fleet;
 use crate::rng::{self, Rng};
@@ -434,6 +436,11 @@ pub struct Scenario {
     units: Vec<ScenarioUnit>,
     tasks: Vec<Task>,
     budgets: Vec<u64>,
+    /// Per unit, its canonical MiniC text and that text's source digest,
+    /// filled by the first [`Scenario::to_sweep_spec`]. Deliberately no
+    /// ASTs: an AST costs several times its text in memory, and only a
+    /// store miss needs one (the sweep parses it from the text then).
+    lowered: OnceLock<Vec<(Arc<String>, Digest)>>,
 }
 
 impl Scenario {
@@ -524,6 +531,7 @@ impl Scenario {
             units,
             tasks,
             budgets,
+            lowered: OnceLock::new(),
         })
     }
 
@@ -573,17 +581,37 @@ impl Scenario {
     /// The caller adds the config/machine axes (defaults apply otherwise)
     /// and runs it through `Pipeline::run_sweep` — the only compilation
     /// path scenarios use.
+    ///
+    /// The first call generates, pretty-prints and digests every unit
+    /// once; later calls (and clones of a lowered scenario) only clone
+    /// `Arc`s. The spec's units carry text, not ASTs
+    /// ([`SweepUnit::from_canonical`]).
     #[must_use]
     pub fn to_sweep_spec(&self) -> SweepSpec {
         let mut spec = SweepSpec::new();
-        for unit in &self.units {
-            spec = spec.unit(SweepUnit::from_source(
+        for (unit, (canonical, digest)) in self.units.iter().zip(self.lowered()) {
+            spec = spec.unit(SweepUnit::from_canonical(
                 &unit.name,
-                unit.node.to_minic(),
+                Arc::clone(canonical),
+                *digest,
                 "step",
             ));
         }
         spec
+    }
+
+    /// The lowering memo behind [`to_sweep_spec`](Scenario::to_sweep_spec).
+    fn lowered(&self) -> &[(Arc<String>, Digest)] {
+        self.lowered.get_or_init(|| {
+            self.units
+                .iter()
+                .map(|unit| {
+                    let canonical = Arc::new(program_to_c(&unit.node.to_minic()));
+                    let digest = source_digest(&canonical);
+                    (canonical, digest)
+                })
+                .collect()
+        })
     }
 
     /// Joins the sweep's per-unit WCET bounds against the scenario's frame
@@ -619,22 +647,29 @@ impl Scenario {
         machines: &[String],
         mut wcet_of: impl FnMut(&str, &str, &str) -> Option<u64>,
     ) -> SchedReport {
+        // every (unit, config, machine) bound is looked up at most once,
+        // however many frames and modes dispatch the unit
+        let mut bounds: Vec<Option<u64>> =
+            vec![None; configs.len() * machines.len() * self.units.len()];
         let mut verdicts = Vec::new();
         for (mi, mode) in self.config.modes.iter().enumerate() {
             for frame in 0..self.config.minor_frames {
                 let task_ids = self.frame_tasks(mi, frame);
-                for config in configs {
-                    for machine in machines {
+                for (ci, config) in configs.iter().enumerate() {
+                    for (mci, machine) in machines.iter().enumerate() {
+                        let column = (ci * machines.len() + mci) * self.units.len();
                         let mut wcet = EXEC_OVERHEAD;
                         for &ti in &task_ids {
                             let ui = self.tasks[ti].unit_for_mode[mi]
                                 .expect("frame_tasks filters shed tasks");
-                            let unit = &self.units[ui].name;
-                            let bound = wcet_of(unit, config, machine).unwrap_or_else(|| {
-                                panic!(
-                                    "unit `{unit}` missing from sweep ({config}/{machine}); \
-                                     run the spec from Scenario::to_sweep_spec"
-                                )
+                            let bound = *bounds[column + ui].get_or_insert_with(|| {
+                                let unit = &self.units[ui].name;
+                                wcet_of(unit, config, machine).unwrap_or_else(|| {
+                                    panic!(
+                                        "unit `{unit}` missing from sweep ({config}/{machine}); \
+                                         run the spec from Scenario::to_sweep_spec"
+                                    )
+                                })
                             });
                             wcet += DISPATCH_OVERHEAD + bound;
                         }
@@ -664,9 +699,9 @@ impl Scenario {
     pub fn source_digest(&self) -> Digest {
         let mut h = Hasher::new();
         h.str(&self.config.name);
-        for unit in &self.units {
+        for (unit, (canonical, _)) in self.units.iter().zip(self.lowered()) {
             h.str(&unit.name);
-            h.str(&vericomp_minic::pretty::program_to_c(&unit.node.to_minic()));
+            h.str(canonical);
         }
         h.finish()
     }

@@ -655,3 +655,84 @@ fn daemon_traced_sweep_returns_tagged_spans_without_changing_the_digest() {
     client.shutdown().expect("acknowledged");
     handle.join().expect("clean run");
 }
+
+/// An upload that parses but does not typecheck fails only the request
+/// that sent it: were it queued, the merged sweep's type error would
+/// answer every request in its batch.
+#[test]
+fn daemon_poison_upload_fails_only_its_own_request() {
+    let healthy = daemon_spec(0..3);
+    let solo = pipeline_with_jobs(1)
+        .run_sweep(&healthy)
+        .expect("solo sweep");
+    let ill_typed =
+        vericomp::minic::parse::parse("double g;\nvoid step() {\n    g = missing;\n}\n")
+            .expect("parses");
+    assert!(vericomp::minic::typeck::check(&ill_typed).is_err());
+    // same axes as `healthy`, so the two would share a batch
+    let mut poisoned = SweepSpec::new();
+    for unit in daemon_spec(3..5).units() {
+        poisoned = poisoned.unit(unit.clone());
+    }
+    let poisoned = poisoned
+        .unit(vericomp::pipeline::SweepUnit::from_source(
+            "poison", ill_typed, "step",
+        ))
+        .levels([OptLevel::Verified, OptLevel::OptFull])
+        .machine("default", &MachineConfig::mpc755());
+    // a cold sweep on other axes keeps the batcher busy while both land
+    let suite = fleet::named_suite();
+    let blocker = normalize_spec(
+        &SweepSpec::new()
+            .nodes(&suite[6..16])
+            .level(OptLevel::PatternO0),
+        &MachineConfig::mpc755(),
+    );
+
+    let socket = daemon_socket("poison");
+    let mut options = ServerOptions::new(&socket);
+    options.jobs = 2;
+    let server = Server::new(&options).expect("binds");
+    let handle = std::thread::spawn(move || server.run().expect("serves"));
+
+    let mut admin = Client::connect(&socket).expect("connects");
+    let mut busy = Client::connect(&socket).expect("connects");
+    let mut sick = Client::connect(&socket).expect("connects");
+    let mut well = Client::connect(&socket).expect("connects");
+    let (poison_result, healthy_result) = std::thread::scope(|s| {
+        let blocking = s.spawn(|| busy.run_sweep(&blocker).expect("blocker served"));
+        while admin.server_stats().expect("stats").batches == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let p = s.spawn(|| sick.run_sweep(&poisoned));
+        let h = s.spawn(|| well.run_sweep(&healthy));
+        let out = (
+            p.join().expect("poisoned client"),
+            h.join().expect("healthy client"),
+        );
+        blocking.join().expect("blocker");
+        out
+    });
+    match poison_result {
+        Err(vericomp::pipeline::ClientError::Server(msg)) => assert!(
+            msg.contains("unit `poison` failed to typecheck"),
+            "unexpected rejection: {msg}"
+        ),
+        other => panic!("poisoned request was not rejected: {other:?}"),
+    }
+    let served = healthy_result.expect("healthy request served");
+    assert!(served.verify());
+    assert_eq!(
+        served.digest,
+        solo.digest(),
+        "healthy request diverges from solo"
+    );
+
+    // the rejected body never entered the parse cache: a retry is
+    // rejected the same way, not as an unknown digest
+    let again = sick.run_sweep(&poisoned).expect_err("still poisoned");
+    assert!(again.to_string().contains("failed to typecheck"), "{again}");
+
+    admin.shutdown().expect("acknowledged");
+    handle.join().expect("clean run");
+}

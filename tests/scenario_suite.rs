@@ -204,3 +204,127 @@ fn scenario_digest_is_stable_for_a_pinned_seed() {
         "pinned scenario derivation drifted"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Lowering memo, text-only units and the served verdict join: the fast
+// paths must reproduce what lowering from fresh ASTs and joining a local
+// sweep produce, bit for bit.
+// ---------------------------------------------------------------------------
+
+use std::collections::HashMap;
+
+use vericomp::core::Compiler;
+use vericomp::minic::pretty::program_to_c;
+use vericomp::pipeline::proto::{decode_response, encode_response, Response, SweepResponse};
+use vericomp::pipeline::{source_digest, SweepSpec};
+
+fn memo_config() -> ScenarioConfig {
+    ScenarioConfig::builder()
+        .tasks(4)
+        .symbols(6, 18)
+        .frames(4)
+        .seed(0x1A2B)
+        .build()
+        .expect("valid config")
+}
+
+fn with_axes(spec: SweepSpec) -> SweepSpec {
+    spec.levels([OptLevel::PatternO0, OptLevel::Verified])
+        .machine("mpc755", &MachineConfig::mpc755())
+        .machine("tiny-caches", &MachineConfig::tiny_caches())
+}
+
+#[test]
+fn text_only_lowering_compiles_like_fresh_asts() {
+    let scn = Scenario::generate(&memo_config()).expect("generates");
+
+    // the lazily parsed AST of every unit is the generator's AST
+    for (unit, lowered) in scn.units().iter().zip(scn.to_sweep_spec().units()) {
+        assert_eq!(*lowered.source(), unit.node.to_minic(), "{}", unit.name);
+    }
+
+    // a spec of text-only units (no AST until a cell misses) against one
+    // printed from freshly generated ASTs, each on its own cold pipeline
+    let text = Pipeline::in_memory()
+        .run_sweep(&with_axes(scn.to_sweep_spec()))
+        .expect("text-only sweep");
+    let fresh = Pipeline::in_memory()
+        .run_sweep(&with_axes(
+            SweepSpec::new().nodes(scn.units().iter().map(|u| &u.node)),
+        ))
+        .expect("fresh-AST sweep");
+    assert_eq!(text.digest(), fresh.digest(), "sweep digest differs");
+    assert_eq!(
+        scn.check(&text).digest(),
+        scn.check(&fresh).digest(),
+        "sched digest differs"
+    );
+
+    // and the binaries are what the compiler makes of the fresh ASTs
+    for unit in scn.units() {
+        let direct = Compiler::new(OptLevel::Verified)
+            .compile(&unit.node.to_minic(), "step")
+            .expect("compiles");
+        let cell = &text[(unit.name.as_str(), "verified", "mpc755")];
+        assert_eq!(
+            cell.outcome.artifact.program.encode_text(),
+            direct.encode_text(),
+            "{}",
+            unit.name
+        );
+    }
+}
+
+#[test]
+fn repeated_and_cloned_lowerings_match_a_freshly_generated_scenario() {
+    let cfg = memo_config();
+    let scn = Scenario::generate(&cfg).expect("generates");
+    let first = scn.to_sweep_spec();
+    let again = scn.to_sweep_spec();
+    let cloned = scn.clone().to_sweep_spec();
+    let unlowered_clone = Scenario::generate(&cfg).expect("generates").clone();
+    let fresh = Scenario::generate(&cfg).expect("generates").to_sweep_spec();
+    for spec in [&again, &cloned, &unlowered_clone.to_sweep_spec(), &fresh] {
+        assert_eq!(spec.units().len(), first.units().len());
+        for (a, b) in first.units().iter().zip(spec.units()) {
+            assert_eq!((&a.name, &a.entry), (&b.name, &b.entry));
+            assert_eq!(a.canonical(), b.canonical(), "{}", a.name);
+            assert_eq!(a.source_digest(), b.source_digest(), "{}", a.name);
+        }
+    }
+    for (unit, lowered) in scn.units().iter().zip(first.units()) {
+        assert_eq!(**lowered.canonical(), program_to_c(&unit.node.to_minic()));
+        assert_eq!(lowered.source_digest(), source_digest(lowered.canonical()));
+    }
+    assert_eq!(
+        scn.source_digest(),
+        Scenario::generate(&cfg).expect("generates").source_digest()
+    );
+}
+
+#[test]
+fn check_bounds_fed_by_a_served_response_matches_check() {
+    let scn = Scenario::generate(&memo_config()).expect("generates");
+    let sweep = Pipeline::in_memory()
+        .run_sweep(&with_axes(scn.to_sweep_spec()))
+        .expect("sweep");
+    // the response as a client decodes it off the wire
+    let text = encode_response(&Response::Sweep(SweepResponse::from_result(&sweep)));
+    let Response::Sweep(response) = decode_response(&text).expect("decodes") else {
+        panic!("wrong response kind");
+    };
+    let mut lookups: HashMap<(String, String, String), u32> = HashMap::new();
+    let served = scn.check_bounds(&response.configs, &response.machines, |u, c, m| {
+        *lookups
+            .entry((u.to_owned(), c.to_owned(), m.to_owned()))
+            .or_default() += 1;
+        response.get(u, c, m).map(|cell| cell.wcet)
+    });
+    let local = scn.check(&sweep);
+    assert_eq!(served.render(), local.render());
+    assert_eq!(served.digest(), local.digest());
+    assert!(
+        lookups.values().all(|&n| n == 1),
+        "a (unit, config, machine) bound was looked up more than once"
+    );
+}
