@@ -21,7 +21,6 @@
 //! Expressions use C precedence for the operator subset
 //! (`||` < `&&` < comparisons < `+ -` < `* /` < unary).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::ast::{Binop, Cmp, Expr, Function, Global, GlobalDef, Program, Stmt, Ty, Unop};
@@ -128,17 +127,18 @@ impl<'s> Lexer<'s> {
             let Some(c) = self.peek() else { break };
             let tok = match c {
                 b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
-                    let start = self.pos;
+                    let mut s = String::new();
                     while let Some(c) = self.peek() {
                         if c.is_ascii_alphanumeric() || c == b'_' {
+                            s.push(c as char);
                             self.bump();
                         } else {
                             break;
                         }
                     }
-                    Tok::Ident(self.text(start).to_owned())
+                    Tok::Ident(s)
                 }
-                b'0'..=b'9' => self.number()?,
+                b'0'..=b'9' => self.number(false)?,
                 b'"' => {
                     self.bump();
                     let mut s = String::new();
@@ -208,23 +208,26 @@ impl<'s> Lexer<'s> {
         Ok(out)
     }
 
-    /// The source text from `start` to the current position (token
-    /// bytes are ASCII, so this never splits a character).
-    fn text(&self, start: usize) -> &'s str {
-        std::str::from_utf8(&self.src[start..self.pos]).expect("ASCII token")
-    }
-
-    fn number(&mut self) -> Result<Tok, ParseError> {
-        let start = self.pos;
+    fn number(&mut self, neg: bool) -> Result<Tok, ParseError> {
+        let mut s = String::new();
+        if neg {
+            s.push('-');
+        }
         let mut is_float = false;
         while let Some(c) = self.peek() {
             match c {
-                b'0'..=b'9' => {}
-                b'.' => is_float = true,
+                b'0'..=b'9' => s.push(c as char),
+                b'.' => {
+                    is_float = true;
+                    s.push('.');
+                }
                 b'e' | b'E' => {
                     is_float = true;
+                    s.push(c as char);
                     self.bump();
-                    if !matches!(self.peek(), Some(b'+') | Some(b'-')) {
+                    if matches!(self.peek(), Some(b'+') | Some(b'-')) {
+                        s.push(self.peek().expect("peeked") as char);
+                    } else {
                         continue;
                     }
                 }
@@ -232,7 +235,6 @@ impl<'s> Lexer<'s> {
             }
             self.bump();
         }
-        let s = self.text(start);
         if is_float {
             s.parse::<f64>()
                 .map(Tok::Float)
@@ -269,13 +271,8 @@ impl Parser {
         self.toks.get(self.pos).map(|(t, _, _)| t)
     }
 
-    /// Consumes the next token, moving it out of the stream: the parser
-    /// never backtracks over a consumed token (lookahead only peeks).
     fn next(&mut self) -> Option<Tok> {
-        let t = self
-            .toks
-            .get_mut(self.pos)
-            .map(|(t, _, _)| std::mem::replace(t, Tok::Punct("")));
+        let t = self.toks.get(self.pos).map(|(t, _, _)| t.clone());
         if t.is_some() {
             self.pos += 1;
         }
@@ -311,7 +308,7 @@ impl Parser {
         }
     }
 
-    fn ty(word: &str) -> Option<Ty> {
+    fn ty(&mut self, word: &str) -> Option<Ty> {
         match word {
             "int" => Some(Ty::I32),
             "double" => Some(Ty::F64),
@@ -320,18 +317,10 @@ impl Parser {
         }
     }
 
-    /// The type a token names, if it is a type keyword.
-    fn ty_at(&self, at: usize) -> Option<Ty> {
-        match self.toks.get(at) {
-            Some((Tok::Ident(w), _, _)) => Parser::ty(w),
-            _ => None,
-        }
-    }
-
     fn program(&mut self) -> Result<Program, ParseError> {
         let mut globals = Vec::new();
         let mut functions = Vec::new();
-        while let Some(tok) = self.peek() {
+        while let Some(tok) = self.peek().cloned() {
             let Tok::Ident(word) = tok else {
                 return Err(self.error_at("expected a declaration"));
             };
@@ -340,7 +329,7 @@ impl Parser {
                 functions.push(self.function(None)?);
                 continue;
             }
-            let Some(ty) = Parser::ty(word) else {
+            let Some(ty) = self.ty(&word) else {
                 return Err(self.error_at(format!("expected a type, found `{word}`")));
             };
             self.pos += 1;
@@ -351,6 +340,9 @@ impl Parser {
                 globals.push(self.global_rest(ty, name)?);
             }
         }
+        // AST vectors get exact capacity: a sweep holds the parsed AST of
+        // every unit it compiles, and growth slack measurably raised the
+        // peak memory of large cold sweeps
         globals.shrink_to_fit();
         functions.shrink_to_fit();
         Ok(Program { globals, functions })
@@ -444,7 +436,8 @@ impl Parser {
         if !self.try_punct(")") {
             loop {
                 let tw = self.ident()?;
-                let ty = Parser::ty(&tw)
+                let ty = self
+                    .ty(&tw)
                     .ok_or_else(|| self.error_at(format!("expected a type, found `{tw}`")))?;
                 let pname = self.ident()?;
                 params.push((pname, ty));
@@ -457,16 +450,22 @@ impl Parser {
         self.eat_punct("{")?;
         // local declarations: `type ident ;`
         let mut locals = Vec::new();
-        while let Some(ty) = self.ty_at(self.pos) {
-            let declares = matches!(self.toks.get(self.pos + 1), Some((Tok::Ident(_), _, _)))
-                && matches!(self.toks.get(self.pos + 2), Some((Tok::Punct(";"), _, _)));
-            if !declares {
-                break;
+        loop {
+            let save = self.pos;
+            if let Some(Tok::Ident(w)) = self.peek().cloned() {
+                if let Some(ty) = self.ty(&w) {
+                    self.pos += 1;
+                    if let (Ok(n), true) =
+                        (self.ident(), matches!(self.peek(), Some(Tok::Punct(";"))))
+                    {
+                        self.pos += 1;
+                        locals.push((n, ty));
+                        continue;
+                    }
+                }
             }
-            self.pos += 1;
-            let name = self.ident()?;
-            self.pos += 1;
-            locals.push((name, ty));
+            self.pos = save;
+            break;
         }
         let body = self.block_body()?;
         Ok(Function {
@@ -494,18 +493,11 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
-        const KEYWORDS: [&str; 5] = [
-            "if",
-            "while",
-            "return",
-            "__builtin_annotation",
-            "__io_write",
-        ];
-        let keyword = match self.peek() {
-            Some(Tok::Ident(w)) => KEYWORDS.into_iter().find(|k| k == w),
+        let word = match self.peek() {
+            Some(Tok::Ident(w)) => w.clone(),
             other => return Err(self.error_at(format!("expected a statement, found {other:?}"))),
         };
-        match keyword.unwrap_or_default() {
+        match word.as_str() {
             "if" => {
                 self.pos += 1;
                 self.eat_punct("(")?;
@@ -551,9 +543,9 @@ impl Parser {
                 while self.try_punct(",") {
                     args.push(self.expr()?);
                 }
-                args.shrink_to_fit();
                 self.eat_punct(")")?;
                 self.eat_punct(";")?;
+                args.shrink_to_fit();
                 Ok(Stmt::Annot(fmt, args))
             }
             "__io_write" => {
@@ -581,30 +573,24 @@ impl Parser {
                     self.eat_punct(";")?;
                     Ok(Stmt::Assign(name, e))
                 } else if self.try_punct("(") {
-                    let args = self.call_args()?;
+                    let mut args = Vec::new();
+                    if !self.try_punct(")") {
+                        loop {
+                            args.push(self.expr()?);
+                            if !self.try_punct(",") {
+                                break;
+                            }
+                        }
+                        self.eat_punct(")")?;
+                    }
                     self.eat_punct(";")?;
+                    args.shrink_to_fit();
                     Ok(Stmt::CallStmt(name, args))
                 } else {
                     Err(self.error_at("expected `=`, `[` or `(` after identifier"))
                 }
             }
         }
-    }
-
-    /// A call's arguments, after its `(` through the closing `)`.
-    fn call_args(&mut self) -> Result<Vec<Expr>, ParseError> {
-        let mut args = Vec::new();
-        if !self.try_punct(")") {
-            loop {
-                args.push(self.expr()?);
-                if !self.try_punct(",") {
-                    break;
-                }
-            }
-            self.eat_punct(")")?;
-        }
-        args.shrink_to_fit();
-        Ok(args)
     }
 
     // ---- expressions, by precedence ----
@@ -785,7 +771,18 @@ impl Parser {
                         self.eat_punct("]")?;
                         Ok(Expr::Index(w, Box::new(idx)))
                     } else if self.try_punct("(") {
-                        Ok(Expr::Call(w, self.call_args()?))
+                        let mut args = Vec::new();
+                        if !self.try_punct(")") {
+                            loop {
+                                args.push(self.expr()?);
+                                if !self.try_punct(",") {
+                                    break;
+                                }
+                            }
+                            self.eat_punct(")")?;
+                        }
+                        args.shrink_to_fit();
+                        Ok(Expr::Call(w, args))
                     } else {
                         Ok(Expr::Var(w))
                     }
@@ -831,56 +828,51 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
 /// Post-pass: fix operator variants using declared types (the parser's
 /// syntactic guess only sees literal shapes).
 fn retype(prog: &mut Program) {
-    let Program { globals, functions } = prog;
-    // first declaration wins, as in `Program::global`
-    let mut global_float: HashMap<&str, bool> = HashMap::with_capacity(globals.len());
-    for g in globals.iter() {
-        global_float
-            .entry(g.name.as_str())
-            .or_insert(g.def.elem_ty() == Ty::F64);
-    }
-    for f in functions {
+    let prog_snapshot = prog.clone();
+    for f in &mut prog.functions {
         let is_float = |name: &str| -> Option<bool> {
             for (n, t) in f.params.iter().chain(&f.locals) {
                 if n == name {
                     return Some(*t == Ty::F64);
                 }
             }
-            global_float.get(name).copied()
+            prog_snapshot
+                .global(name)
+                .map(|g| g.def.elem_ty() == Ty::F64)
         };
-        for s in &mut f.body {
-            retype_stmt(s, &is_float);
-        }
+        let body = std::mem::take(&mut f.body);
+        f.body = body
+            .into_iter()
+            .map(|s| retype_stmt(s, &is_float))
+            .collect();
     }
 }
 
-fn retype_stmt(s: &mut Stmt, is_float: &dyn Fn(&str) -> Option<bool>) {
+fn retype_stmt(s: Stmt, is_float: &dyn Fn(&str) -> Option<bool>) -> Stmt {
     match s {
-        Stmt::Assign(_, e) | Stmt::IoWrite(_, e) | Stmt::Return(Some(e)) => {
-            retype_expr(e, is_float)
+        Stmt::Assign(n, e) => Stmt::Assign(n, retype_expr(e, is_float)),
+        Stmt::StoreIndex(n, i, e) => {
+            Stmt::StoreIndex(n, retype_expr(i, is_float), retype_expr(e, is_float))
         }
-        Stmt::StoreIndex(_, i, e) => {
-            retype_expr(i, is_float);
-            retype_expr(e, is_float);
-        }
-        Stmt::If(c, a, b) => {
-            retype_expr(c, is_float);
-            for s in a.iter_mut().chain(b) {
-                retype_stmt(s, is_float);
-            }
-        }
-        Stmt::While(c, b) => {
-            retype_expr(c, is_float);
-            for s in b {
-                retype_stmt(s, is_float);
-            }
-        }
-        Stmt::Annot(_, args) | Stmt::CallStmt(_, args) => {
-            for e in args {
-                retype_expr(e, is_float);
-            }
-        }
-        Stmt::Return(None) => {}
+        Stmt::If(c, a, b) => Stmt::If(
+            retype_expr(c, is_float),
+            a.into_iter().map(|s| retype_stmt(s, is_float)).collect(),
+            b.into_iter().map(|s| retype_stmt(s, is_float)).collect(),
+        ),
+        Stmt::While(c, b) => Stmt::While(
+            retype_expr(c, is_float),
+            b.into_iter().map(|s| retype_stmt(s, is_float)).collect(),
+        ),
+        Stmt::Return(e) => Stmt::Return(e.map(|e| retype_expr(e, is_float))),
+        Stmt::Annot(f, args) => Stmt::Annot(
+            f,
+            args.into_iter().map(|e| retype_expr(e, is_float)).collect(),
+        ),
+        Stmt::IoWrite(p, e) => Stmt::IoWrite(p, retype_expr(e, is_float)),
+        Stmt::CallStmt(n, args) => Stmt::CallStmt(
+            n,
+            args.into_iter().map(|e| retype_expr(e, is_float)).collect(),
+        ),
     }
 }
 
@@ -895,22 +887,22 @@ fn expr_is_float(e: &Expr, is_float: &dyn Fn(&str) -> Option<bool>) -> bool {
     }
 }
 
-/// Re-types `e` in place, children first (the tree is not rebuilt).
-fn retype_expr(e: &mut Expr, is_float: &dyn Fn(&str) -> Option<bool>) {
+fn retype_expr(e: Expr, is_float: &dyn Fn(&str) -> Option<bool>) -> Expr {
     match e {
         Expr::Unop(op, a) => {
-            retype_expr(a, is_float);
-            *op = match *op {
-                Unop::NegI if expr_is_float(a, is_float) => Unop::NegF,
-                Unop::NegF if !expr_is_float(a, is_float) => Unop::NegI,
+            let a = retype_expr(*a, is_float);
+            let op = match op {
+                Unop::NegI if expr_is_float(&a, is_float) => Unop::NegF,
+                Unop::NegF if !expr_is_float(&a, is_float) => Unop::NegI,
                 other => other,
             };
+            Expr::unop(op, a)
         }
         Expr::Binop(op, a, b) => {
-            retype_expr(a, is_float);
-            retype_expr(b, is_float);
-            let float = expr_is_float(a, is_float) || expr_is_float(b, is_float);
-            *op = match (*op, float) {
+            let a = retype_expr(*a, is_float);
+            let b = retype_expr(*b, is_float);
+            let float = expr_is_float(&a, is_float) || expr_is_float(&b, is_float);
+            let op = match (op, float) {
                 (Binop::AddI, true) => Binop::AddF,
                 (Binop::SubI, true) => Binop::SubF,
                 (Binop::MulI, true) => Binop::MulF,
@@ -923,15 +915,14 @@ fn retype_expr(e: &mut Expr, is_float: &dyn Fn(&str) -> Option<bool>) {
                 (Binop::CmpF(c), false) => Binop::CmpI(c),
                 (other, _) => other,
             };
+            Expr::binop(op, a, b)
         }
-        Expr::Index(_, i) => retype_expr(i, is_float),
-        Expr::Call(_, args) => {
-            for e in args {
-                retype_expr(e, is_float);
-            }
-        }
-        Expr::IntLit(_) | Expr::FloatLit(_) | Expr::BoolLit(_) | Expr::Var(_) | Expr::IoRead(_) => {
-        }
+        Expr::Index(n, i) => Expr::Index(n, Box::new(retype_expr(*i, is_float))),
+        Expr::Call(n, args) => Expr::Call(
+            n,
+            args.into_iter().map(|e| retype_expr(e, is_float)).collect(),
+        ),
+        leaf => leaf,
     }
 }
 

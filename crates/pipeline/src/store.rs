@@ -233,7 +233,11 @@ impl Verdict {
 }
 
 /// One cached compilation product: binary + verdict + WCET report.
-#[derive(Debug, Clone)]
+///
+/// Cloning does not carry the memoized
+/// [`output_digest`](Artifact::output_digest) over, so a clone whose
+/// fields are then changed digests its own outputs.
+#[derive(Debug)]
 pub struct Artifact {
     /// The content-addressed key this artifact was stored under.
     pub key: Digest,
@@ -251,6 +255,19 @@ pub struct Artifact {
     /// a stored artifact is shared immutably, and a warm sweep reports
     /// the digest of every cell on every request.
     output: OnceLock<Digest>,
+}
+
+impl Clone for Artifact {
+    fn clone(&self) -> Artifact {
+        Artifact::new(
+            self.key,
+            self.entry.clone(),
+            self.label.clone(),
+            self.program.clone(),
+            self.verdict,
+            self.report.clone(),
+        )
+    }
 }
 
 impl Artifact {
@@ -285,8 +302,9 @@ impl Artifact {
 
     /// A digest of the artifact's *outputs* (encoded text, annotation
     /// table, WCET bound) — used by determinism gates to compare serial
-    /// and parallel builds bit-for-bit. Computed once per artifact; the
-    /// fields must not change after the first call.
+    /// and parallel builds bit-for-bit. Computed once per artifact and
+    /// not carried over by `clone`; an artifact's own fields must not
+    /// change after the first call.
     #[must_use]
     pub fn output_digest(&self) -> Digest {
         *self.output.get_or_init(|| self.compute_output_digest())
@@ -1126,6 +1144,21 @@ mod tests {
         assert_eq!(a.output_digest(), b.output_digest());
         // data section compares via bits (may hold f64 NaNs in general)
         assert_eq!(a.program.data.len(), b.program.data.len());
+    }
+
+    #[test]
+    fn a_changed_clone_digests_its_own_outputs() {
+        // the original's digest is memoized before it is cloned
+        let a = small_artifact();
+        let before = a.output_digest();
+        assert_eq!(a.clone().output_digest(), before);
+        let mut slower = a.clone();
+        slower.report.wcet += 1;
+        assert_ne!(slower.output_digest(), before);
+        let mut relabeled = a.clone();
+        relabeled.label = "opt-full".into();
+        assert_ne!(relabeled.output_digest(), before);
+        assert_eq!(a.output_digest(), before);
     }
 
     #[test]

@@ -69,11 +69,16 @@ use crate::trace::{RunTrace, Span};
 /// use and shared by every clone (so by every cell of the cross
 /// product):
 ///
-/// * the AST ([`source`](SweepUnit::source)), parsed from the text. Only
-///   a cell that misses the store compiles, so a warm replay never
-///   parses, and no unit keeps the AST it was built from — an AST costs
-///   several times its text in memory, and specs, lowering memos and
-///   the daemon's parse cache hold thousands of units;
+/// * the AST ([`source`](SweepUnit::source)), parsed from the text on
+///   first use. Only a cell that misses the store compiles, so a warm
+///   replay never parses, and callers that hold thousands of units
+///   (lowering memos, the daemon's parse cache, an edit loop's history)
+///   keep text — an AST costs several times its text in memory. A unit
+///   built from an AST ([`from_node`](SweepUnit::from_node),
+///   [`from_source`](SweepUnit::from_source),
+///   [`from_application`](SweepUnit::from_application)) compiles exactly
+///   that AST: it checks at construction that the text parses back to
+///   it, and keeps the AST when it does not;
 /// * the [`artifact_key_prefix`]: the text is hashed into the key once
 ///   per unit, not once per cell.
 #[derive(Debug, Clone)]
@@ -96,15 +101,25 @@ struct Derived {
 }
 
 impl SweepUnit {
-    fn from_ast(name: String, source: &SrcProgram, entry: String) -> SweepUnit {
-        let canonical = Arc::new(program_to_c(source));
+    fn from_ast(name: String, source: SrcProgram, entry: String) -> SweepUnit {
+        let canonical = Arc::new(program_to_c(&source));
         let digest = source_digest(&canonical);
+        // the unit compiles exactly the caller's AST: it is dropped only
+        // when the text is checked to parse back to it, so a miss can
+        // re-derive it and callers holding many units keep only text
+        let ast = match vericomp_minic::parse::parse(&canonical) {
+            Ok(reparsed) if reparsed == source => OnceLock::new(),
+            _ => OnceLock::from(source),
+        };
         SweepUnit {
             name,
             entry,
             canonical,
             digest,
-            derived: Arc::default(),
+            derived: Arc::new(Derived {
+                ast,
+                key_prefix: OnceLock::new(),
+            }),
         }
     }
 
@@ -113,7 +128,7 @@ impl SweepUnit {
     pub fn from_node(node: &Node) -> SweepUnit {
         SweepUnit::from_ast(
             node.name().to_owned(),
-            &node.to_minic(),
+            node.to_minic(),
             node.step_name().to_owned(),
         )
     }
@@ -127,7 +142,7 @@ impl SweepUnit {
     pub fn from_application(app: &Application) -> Result<SweepUnit, ApplicationError> {
         Ok(SweepUnit::from_ast(
             app.name().to_owned(),
-            &app.to_minic()?,
+            app.to_minic()?,
             app.step_name().to_owned(),
         ))
     }
@@ -135,7 +150,7 @@ impl SweepUnit {
     /// The unit axis entry for a raw MiniC translation unit.
     #[must_use]
     pub fn from_source(name: &str, source: SrcProgram, entry: &str) -> SweepUnit {
-        SweepUnit::from_ast(name.to_owned(), &source, entry.to_owned())
+        SweepUnit::from_ast(name.to_owned(), source, entry.to_owned())
     }
 
     /// The unit axis entry for a canonical text whose digest is already
@@ -195,13 +210,15 @@ impl SweepUnit {
     }
 
     /// The MiniC translation unit, parsed from the canonical text on
-    /// first use when the unit was built from text alone.
+    /// first use unless the unit kept the AST it was built from.
     ///
     /// # Panics
     ///
     /// Panics when a [`from_canonical`](SweepUnit::from_canonical) text
-    /// is not printer output and fails to parse — a caller bug (every
-    /// other constructor holds printer output or parse-checked text).
+    /// is not printer output and fails to parse — a caller bug
+    /// ([`from_parsed`](SweepUnit::from_parsed) text was parse-checked
+    /// before it entered the parse cache, and the AST constructors keep
+    /// any AST whose text does not parse back to it).
     #[must_use]
     pub fn source(&self) -> &SrcProgram {
         self.derived.ast.get_or_init(|| {
@@ -992,6 +1009,39 @@ mod tests {
         let by_pos =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sweep[(0, 0, 1)].wcet()));
         assert!(by_pos.is_err(), "positional index out of range must panic");
+    }
+
+    #[test]
+    fn ast_built_units_compile_the_callers_ast_from_a_cold_store() {
+        // the printer writes an integral double of magnitude >= 1e15
+        // without a fraction or exponent, so this node's canonical text
+        // does not parse back; the unit must compile the AST it was given
+        let mut b = vericomp_dataflow::NodeBuilder::new("wide_clamp");
+        let x = b.acquisition(0);
+        let y = b.saturation(x, -1e20, 1e20);
+        b.output("y", y);
+        let node = b.build().expect("valid node");
+        let unit = SweepUnit::from_node(&node);
+        assert!(vericomp_minic::parse::parse(unit.canonical()).is_err());
+        assert!(unit.derived.ast.get().is_some(), "kept the AST");
+        assert_eq!(*unit.source(), node.to_minic());
+        // a node whose text round-trips keeps text only
+        let plain = SweepUnit::from_node(&suite_prefix(1)[0]);
+        assert!(plain.derived.ast.get().is_none(), "dropped the AST");
+
+        let sweep = Pipeline::in_memory()
+            .run_sweep(
+                &SweepSpec::new()
+                    .unit(unit)
+                    .levels([OptLevel::PatternO0, OptLevel::Verified]),
+            )
+            .expect("cold sweep of an AST-built unit");
+        assert_eq!(sweep.stats.jobs_cached, 0);
+        assert_eq!(sweep.cell_count(), 2);
+        assert!(sweep
+            .cells()
+            .iter()
+            .all(|c| c.outcome.artifact.report.wcet > 0));
     }
 
     #[test]

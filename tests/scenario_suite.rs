@@ -244,7 +244,8 @@ fn text_only_lowering_compiles_like_fresh_asts() {
     }
 
     // a spec of text-only units (no AST until a cell misses) against one
-    // printed from freshly generated ASTs, each on its own cold pipeline
+    // built from, and compiling, freshly generated ASTs, each on its own
+    // cold pipeline
     let text = Pipeline::in_memory()
         .run_sweep(&with_axes(scn.to_sweep_spec()))
         .expect("text-only sweep");
