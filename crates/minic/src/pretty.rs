@@ -46,11 +46,16 @@ fn expr(e: &Expr, out: &mut String) {
             let _ = write!(out, "{v}");
         }
         Expr::FloatLit(v) => {
-            if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
-                let _ = write!(out, "{v:.1}");
+            // an integral double must not print as a bare digit string,
+            // which the lexer reads back as an int literal: small ones get
+            // a `.0`, large ones the shortest round-trip exponent form
+            let _ = if v.fract() != 0.0 || !v.is_finite() {
+                write!(out, "{v}")
+            } else if v.abs() < 1e15 {
+                write!(out, "{v:.1}")
             } else {
-                let _ = write!(out, "{v}");
-            }
+                write!(out, "{v:e}")
+            };
         }
         Expr::BoolLit(v) => {
             let _ = write!(out, "{v}");

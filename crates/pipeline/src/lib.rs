@@ -6,8 +6,8 @@
 //! *throughput* part of the adoption story. This crate turns the repo's
 //! node → binary → WCET pipeline into schedulable, cacheable jobs:
 //!
-//! * [`pool`] — a std-only work-stealing thread pool and a
-//!   dependency-aware [`JobGraph`], no external crates;
+//! * [`pool`] — a std-only [`ThreadPool`] that runs one
+//!   closure per sweep cell, no external crates;
 //! * [`hash`] — stable 128-bit content digests ([`Digest`]);
 //! * [`store`] — the content-addressed [`ArtifactStore`]: compiled
 //!   binaries, translation-validator verdicts and WCET reports keyed by
@@ -92,7 +92,7 @@ pub mod trace;
 pub use client::{Client, ClientError};
 pub use hash::{Digest, Hasher};
 pub use metrics::{bucket_index, bucket_upper, Histogram, Registry, HIST_BUCKETS};
-pub use pool::{JobGraph, JobId, ThreadPool};
+pub use pool::ThreadPool;
 pub use proto::{
     cells_digest, frame_text, normalize_spec, read_frame, CellSummary, ProtoError, Request,
     Response, ServerStats, SweepResponse, WireSweep, WireUnit, MAX_BLOB_BYTES, PROTO_MINOR,
@@ -105,13 +105,13 @@ pub use search::{
 };
 pub use server::{Server, ServerOptions};
 pub use service::{
-    FleetResult, OptionsError, Pipeline, PipelineError, PipelineOptions, PipelineOptionsBuilder,
-    UnitOutcome, MAX_JOBS,
+    OptionsError, Pipeline, PipelineError, PipelineOptions, PipelineOptionsBuilder, UnitOutcome,
+    MAX_JOBS,
 };
-pub use stats::{saturating_nanos, PipelineStats, StatsCell};
+pub use stats::{saturating_nanos, PipelineStats};
 pub use store::{
     artifact_key, machine_digest, source_digest, Artifact, ArtifactStore, ParsedUnit, StoreConfig,
     Verdict, FORMAT_VERSION,
 };
 pub use sweep::{ReanalysisAudit, SweepCell, SweepResult, SweepSpec, SweepUnit};
-pub use trace::{Profile, ProfileRow, RunTrace, Span, SpanKind, TraceSink, STAGE_NAMES};
+pub use trace::{Profile, ProfileRow, RunTrace, Span, SpanKind, STAGE_NAMES};

@@ -231,9 +231,9 @@ impl Registry {
     /// Digest of the deterministic subset: counter (name, value) pairs
     /// and histogram (name, observation count) pairs, in sorted name
     /// order. Gauges and bucket contents are timing-dependent and are
-    /// excluded — the same rule as [`Profile::counter_digest`]
-    /// (crate::trace::Profile::counter_digest): identities and counts,
-    /// never timings.
+    /// excluded — the same rule as
+    /// [`Profile::counter_digest`](crate::trace::Profile::counter_digest):
+    /// identities and counts, never timings.
     #[must_use]
     pub fn counter_digest(&self) -> Digest {
         let mut h = Hasher::new();

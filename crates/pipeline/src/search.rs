@@ -24,7 +24,7 @@
 //!   ([`NodeSearch::pruned`]) so it is auditable.
 //! * **Batched probes.** Each frontier generation is one [`SweepSpec`]
 //!   submitted to [`Pipeline::run_sweep`], so probes overlap on the
-//!   work-stealing pool and land in the content-addressed
+//!   thread pool and land in the content-addressed
 //!   [`ArtifactStore`](crate::store::ArtifactStore) — re-searching after a
 //!   node edit replays every unchanged probe from cache.
 //!
@@ -596,7 +596,8 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// The first [`PipelineError`] any probe hit.
+    /// The [`PipelineError`] of the first generation with a failing
+    /// probe: its lowest-index failing probe's.
     ///
     /// # Panics
     ///

@@ -1,14 +1,14 @@
-//! The compilation service: schedulable, cacheable compile→analyze jobs.
+//! The compilation service: schedulable, cacheable compile→analyze cells.
 //!
-//! A [`Pipeline`] owns a work-stealing [`ThreadPool`](crate::pool::ThreadPool)
+//! A [`Pipeline`] owns a [`ThreadPool`]
 //! and an [`ArtifactStore`]. Work arrives as sweep cells — a
 //! [`SweepUnit`] (canonical source, entry) crossed with a pass
-//! configuration and a machine — and each cell becomes a two-stage chain
-//! in a [`JobGraph`]: a *compile* job (cache
-//! lookup, then compile + translation-validate on a miss) feeding an
-//! *analyze* job (WCET analysis + cache insert). Chains of different units
-//! are independent, so the stages of separate nodes overlap freely while
-//! each unit's stages stay ordered.
+//! configuration and a machine — and each cell is one closure on the pool
+//! that does the whole cell in sequence: cache lookup, then on a miss
+//! compile + translation-validate, WCET analysis and cache insert. Cells
+//! are independent, so separate nodes overlap freely while each cell's
+//! steps stay ordered. The spans a cell records are its only timing
+//! record: its [`PipelineStats`] are derived from them.
 //!
 //! **Incrementality falls out of content addressing**: there is no
 //! explicit dirty-bit protocol. A changed node changes its generated
@@ -22,19 +22,19 @@
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vericomp_arch::MachineConfig;
 use vericomp_core::{CompileError, Compiler, OptLevel, PassConfig};
 use vericomp_wcet::AnalysisError;
 
-use crate::hash::{Digest, Hasher};
-use crate::pool::{JobGraph, ThreadPool};
-use crate::stats::{saturating_nanos, PipelineStats, StatsCell};
+use crate::hash::Digest;
+use crate::pool::ThreadPool;
+use crate::stats::{saturating_nanos, PipelineStats};
 use crate::store::{finish_artifact_key, Artifact, ArtifactStore, Verdict};
 use crate::sweep::SweepUnit;
-use crate::trace::{RunTrace, Span, TraceSink};
+use crate::trace::{RunTrace, Span};
 
 /// Configuration of a [`Pipeline`].
 #[derive(Debug, Clone)]
@@ -160,45 +160,14 @@ impl PipelineOptionsBuilder {
 /// How one unit was produced.
 #[derive(Debug, Clone)]
 pub struct UnitOutcome {
-    /// Unit display name.
-    pub name: String,
-    /// Configuration label.
-    pub label: String,
     /// Whether the artifact came from the cache (verdict replayed).
     pub cached: bool,
     /// The validated artifact: binary + verdict + WCET report.
     pub artifact: Arc<Artifact>,
 }
 
-/// Result of one pipeline run: per-unit outcomes in submission order plus
-/// run metrics.
-#[derive(Debug, Clone)]
-pub struct FleetResult {
-    /// Outcomes, in the order the units were submitted.
-    pub outcomes: Vec<UnitOutcome>,
-    /// Run metrics.
-    pub stats: PipelineStats,
-}
-
-impl FleetResult {
-    /// A digest of every unit's outputs, in submission order — equal
-    /// digests mean bit-identical binaries, annotation tables and WCET
-    /// bounds, which is how the determinism gates compare serial and
-    /// parallel builds.
-    #[must_use]
-    pub fn digest(&self) -> Digest {
-        let mut h = Hasher::new();
-        for o in &self.outcomes {
-            h.str(&o.name).str(&o.label);
-            let d = o.artifact.output_digest();
-            h.u64(d.0 as u64).u64((d.0 >> 64) as u64);
-        }
-        h.finish()
-    }
-}
-
-/// Errors of a pipeline run. The first failing unit wins; the run still
-/// drains (no job is left queued).
+/// Errors of a pipeline run. Every cell runs to completion; the error of
+/// the lowest-index failing cell is the one returned.
 #[derive(Debug)]
 pub enum PipelineError {
     /// A unit failed to compile (including translation-validator
@@ -314,6 +283,11 @@ impl Pipeline {
     /// aggregate run stats and the run's span trace. This is the one
     /// engine every public entry point funnels through.
     ///
+    /// Each cell is one closure on the pool ([`run_cell`]). Every cell runs
+    /// to completion; when several fail, the error of the lowest-index
+    /// failing cell is returned, so the error is a pure function of the
+    /// work, not of scheduling.
+    ///
     /// `epoch` anchors every span timestamp: single sweeps pass their own
     /// submission instant, the lattice search passes one search-wide epoch
     /// so all generations land on a single timeline.
@@ -322,293 +296,173 @@ impl Pipeline {
         cells: Vec<CellSpec>,
         epoch: Instant,
     ) -> Result<(Vec<CellOutcome>, PipelineStats, RunTrace), PipelineError> {
-        enum Stage1 {
-            Hit(Arc<Artifact>),
-            Fresh(Digest, vericomp_arch::Program),
-            Failed,
-        }
-
-        /// Observer buffering (name, start, took) per compiled unit; the
-        /// offsets are rebased onto the compile span after the fact.
-        struct PassTimes(Vec<(&'static str, Duration, Duration)>);
-        impl vericomp_core::PassObserver for PassTimes {
-            fn pass(&mut self, name: &'static str, start: Duration, took: Duration) {
-                self.0.push((name, start, took));
-            }
-        }
-
         let submitted = Instant::now();
-        let since_epoch = move |at: Instant| saturating_nanos(at.saturating_duration_since(epoch));
-        let n = cells.len();
-        // one collector per cell, so sweeps can report per-cell stage
-        // times; the run aggregate is their merge
-        let stats: Arc<Vec<StatsCell>> = Arc::new((0..n).map(|_| StatsCell::new()).collect());
-        // same pattern for spans: each sink is touched only by its own
-        // cell's two (strictly ordered) jobs, so collection is
-        // contention-free
-        let sinks: Arc<Vec<TraceSink>> = Arc::new((0..n).map(|_| TraceSink::new()).collect());
-        let slots: Arc<Vec<Mutex<Option<(Stage1, Instant)>>>> =
-            Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-        let outcomes: Arc<Vec<Mutex<Option<UnitOutcome>>>> =
-            Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-        let first_error: Arc<Mutex<Option<PipelineError>>> = Arc::new(Mutex::new(None));
-
-        let mut graph = JobGraph::new();
-        for (i, cell) in cells.into_iter().enumerate() {
-            let CellSpec {
-                unit,
-                label,
-                passes,
-                machine,
-                machine_digest,
-            } = cell;
-            let detail = format!("unit={} config={}", unit.name, label);
-            let store = Arc::clone(&self.store);
-            let stats1 = Arc::clone(&stats);
-            let sinks1 = Arc::clone(&sinks);
-            let slots1 = Arc::clone(&slots);
-            let errs1 = Arc::clone(&first_error);
-            let unit1 = Arc::clone(&unit);
-            let detail1 = detail.clone();
-            // Stage 1: cache lookup, compile + validate on a miss. The
-            // machine digest is part of `key`, so cells targeting
-            // different machines never alias in the store.
-            let compile = graph.add(&[], move || {
+        let tasks: Vec<Box<dyn FnOnce() -> CellResult + Send>> = cells
+            .into_iter()
+            .enumerate()
+            .map(|(i, cell)| {
+                let store = Arc::clone(&self.store);
+                let analyzer = Arc::clone(&self.analyzer);
                 let job = i as u32;
-                let job_start = Instant::now();
-                sinks1[i].push(Span::stage(
-                    "queue-wait",
-                    job,
-                    since_epoch(submitted),
-                    saturating_nanos(job_start.saturating_duration_since(submitted)),
-                    &detail1,
-                ));
-                // the unit's memoized key prefix already absorbed the
-                // canonical text: a cell hashes only entry, passes and
-                // machine digest, on the hit and the miss path alike
-                let key =
-                    finish_artifact_key(unit1.key_prefix(), &unit1.entry, &passes, machine_digest);
-                let t = Instant::now();
-                let hit = store.lookup(key, &machine);
-                let looked = t.elapsed();
-                stats1[i].add_store(looked);
-                sinks1[i].push(Span::stage(
-                    "cache-lookup",
-                    job,
-                    since_epoch(t),
-                    saturating_nanos(looked),
-                    &detail1,
-                ));
-                let stage = match hit {
-                    Some(artifact) => {
-                        stats1[i].count_cached();
-                        Stage1::Hit(artifact)
-                    }
-                    None => {
-                        let t = Instant::now();
-                        let mut pass_times = PassTimes(Vec::new());
-                        let compiled = Compiler::with_config(OptLevel::Verified, machine)
-                            .compile_with_passes_observed(
-                                unit1.source(),
-                                &unit1.entry,
-                                &passes,
-                                &mut pass_times,
-                            );
-                        let took = t.elapsed();
-                        stats1[i].add_compile(took);
-                        let base = since_epoch(t);
-                        sinks1[i].push(Span::stage(
-                            "compile",
-                            job,
-                            base,
-                            saturating_nanos(took),
-                            &detail1,
-                        ));
-                        for (name, start, dur) in pass_times.0 {
-                            sinks1[i].push(Span::pass(
-                                name,
-                                job,
-                                base.saturating_add(saturating_nanos(start)),
-                                saturating_nanos(dur),
-                                &detail1,
-                            ));
-                        }
-                        match compiled {
-                            Ok(program) => Stage1::Fresh(key, program),
-                            Err(error) => {
-                                errs1.lock().expect("error lock").get_or_insert(
-                                    PipelineError::Compile {
-                                        unit: unit1.name.clone(),
-                                        error,
-                                    },
-                                );
-                                Stage1::Failed
-                            }
-                        }
-                    }
-                };
-                *slots1[i].lock().expect("slot lock") = Some((stage, Instant::now()));
-            });
-            let stats2 = Arc::clone(&stats);
-            let sinks2 = Arc::clone(&sinks);
-            let slots2 = Arc::clone(&slots);
-            let outcomes2 = Arc::clone(&outcomes);
-            let errs2 = Arc::clone(&first_error);
-            let store2 = Arc::clone(&self.store);
-            let analyzer2 = Arc::clone(&self.analyzer);
-            // Stage 2: WCET analysis + cache insert (fresh units only).
-            // Insertion happens strictly after stage 1 succeeded, i.e.
-            // after the translation validators accepted the compilation.
-            graph.add(&[compile], move || {
-                let job = i as u32;
-                let (stage, stage1_done) = slots2[i]
-                    .lock()
-                    .expect("slot lock")
-                    .take()
-                    .expect("stage 1 ran");
-                let job_start = Instant::now();
-                sinks2[i].push(Span::stage(
-                    "queue-wait",
-                    job,
-                    since_epoch(stage1_done),
-                    saturating_nanos(job_start.saturating_duration_since(stage1_done)),
-                    &detail,
-                ));
-                let outcome = match stage {
-                    Stage1::Failed => return,
-                    Stage1::Hit(artifact) => UnitOutcome {
-                        name: unit.name.clone(),
-                        label: label.clone(),
-                        cached: true,
-                        artifact,
-                    },
-                    Stage1::Fresh(key, program) => {
-                        let t = Instant::now();
-                        let analyzed = analyzer2
-                            .analyze(&vericomp_wcet::AnalysisRequest::new(&program, &unit.entry));
-                        let took = t.elapsed();
-                        stats2[i].add_analyze(took);
-                        let base = since_epoch(t);
-                        sinks2[i].push(Span::stage(
-                            "analyze",
-                            job,
-                            base,
-                            saturating_nanos(took),
-                            &detail,
-                        ));
-                        let report = match analyzed {
-                            Ok(analysis) => {
-                                // one provenance event per function body the
-                                // session analyzer ran its fixpoints on, and
-                                // one per body replayed from the fact cache
-                                for _ in 0..analysis.functions_analyzed {
-                                    sinks2[i].push(Span::event(
-                                        "analyze:fixpoint",
-                                        job,
-                                        base,
-                                        &detail,
-                                    ));
-                                }
-                                for _ in 0..analysis.functions_reused {
-                                    sinks2[i].push(Span::event(
-                                        "analyze:reuse",
-                                        job,
-                                        base,
-                                        &detail,
-                                    ));
-                                }
-                                analysis.into_report()
-                            }
-                            Err(error) => {
-                                errs2.lock().expect("error lock").get_or_insert(
-                                    PipelineError::Analyze {
-                                        unit: unit.name.clone(),
-                                        error,
-                                    },
-                                );
-                                return;
-                            }
-                        };
-                        stats2[i].count_run();
-                        let artifact = Artifact::new(
-                            key,
-                            unit.entry.clone(),
-                            label.clone(),
-                            program,
-                            Verdict::from_passes(&passes),
-                            report,
-                        );
-                        let t = Instant::now();
-                        let inserted = store2.insert(artifact);
-                        let took = t.elapsed();
-                        stats2[i].add_store(took);
-                        sinks2[i].push(Span::stage(
-                            "store",
-                            job,
-                            since_epoch(t),
-                            saturating_nanos(took),
-                            &detail,
-                        ));
-                        match inserted {
-                            Ok(artifact) => UnitOutcome {
-                                name: unit.name.clone(),
-                                label: label.clone(),
-                                cached: false,
-                                artifact,
-                            },
-                            Err(error) => {
-                                errs2
-                                    .lock()
-                                    .expect("error lock")
-                                    .get_or_insert(PipelineError::Cache(error));
-                                return;
-                            }
-                        }
-                    }
-                };
-                *outcomes2[i].lock().expect("outcome lock") = Some(outcome);
-            });
-        }
-        graph.run(&self.pool);
-
-        if let Some(error) = first_error.lock().expect("error lock").take() {
-            return Err(error);
-        }
-        let wall = submitted.elapsed();
-        let mut aggregate = PipelineStats::default();
-        let cell_outcomes: Vec<CellOutcome> = outcomes
-            .iter()
-            .zip(stats.iter())
-            .map(|(slot, cell_stats)| {
-                // per-cell wall is the cell's summed stage time (the cells
-                // overlap, so a single clock would be meaningless per cell)
-                let s = cell_stats.snapshot(Duration::default());
-                let stage_sum = Duration::from_nanos(s.compile_ns + s.analyze_ns + s.store_ns);
-                let stats = cell_stats.snapshot(stage_sum);
-                aggregate.merge(&stats);
-                CellOutcome {
-                    outcome: slot
-                        .lock()
-                        .expect("outcome lock")
-                        .take()
-                        .expect("every unit succeeded"),
-                    stats,
-                }
+                Box::new(move || run_cell(job, cell, &store, &analyzer, epoch, submitted))
+                    as Box<dyn FnOnce() -> CellResult + Send>
             })
             .collect();
+        let results = self.pool.run_all(tasks);
+        let wall = submitted.elapsed();
+
+        // span order becomes (cell index, recording order), a pure
+        // function of the work
+        let mut aggregate = PipelineStats::default();
+        let mut trace = RunTrace::new();
+        let mut outcomes = Vec::with_capacity(results.len());
+        for result in results {
+            let (outcome, spans) = result?;
+            let stats = PipelineStats::from_cell_spans(&spans, outcome.cached);
+            aggregate.merge(&stats);
+            for span in spans {
+                trace.push(span);
+            }
+            outcomes.push(CellOutcome { outcome, stats });
+        }
         // the merge maxed per-cell walls (summed stage times); the run
         // aggregate reports the real end-to-end clock
         aggregate.wall_ns = saturating_nanos(wall);
-        // drain the sinks in cell order: span order becomes (cell index,
-        // recording order), a pure function of the work
-        let mut trace = RunTrace::new();
-        for sink in sinks.iter() {
-            for span in sink.take() {
-                trace.push(span);
-            }
-        }
-        Ok((cell_outcomes, aggregate, trace))
+        Ok((outcomes, aggregate, trace))
     }
+}
+
+/// What one cell's closure hands back: its outcome and its spans, the
+/// cell's only timing record.
+type CellResult = Result<(UnitOutcome, Vec<Span>), PipelineError>;
+
+/// Observer buffering (name, start, took) per compiled unit; the offsets
+/// are rebased onto the compile span after the fact.
+struct PassTimes(Vec<(&'static str, Duration, Duration)>);
+
+impl vericomp_core::PassObserver for PassTimes {
+    fn pass(&mut self, name: &'static str, start: Duration, took: Duration) {
+        self.0.push((name, start, took));
+    }
+}
+
+/// One cell, start to finish: queue wait, key, store lookup, and on a miss
+/// compile + validate, WCET analysis and store insert. The artifact is
+/// inserted only after the translation validators accepted the
+/// compilation and the analysis succeeded, so a failed cell caches
+/// nothing. `job` is the cell index (its trace track), `submitted` the
+/// instant the run handed its cells to the pool.
+fn run_cell(
+    job: u32,
+    cell: CellSpec,
+    store: &ArtifactStore,
+    analyzer: &vericomp_wcet::Analyzer,
+    epoch: Instant,
+    submitted: Instant,
+) -> CellResult {
+    let CellSpec {
+        unit,
+        label,
+        passes,
+        machine,
+        machine_digest,
+    } = cell;
+    let detail = format!("unit={} config={}", unit.name, label);
+    let since_epoch = |at: Instant| saturating_nanos(at.saturating_duration_since(epoch));
+    let stage = |name: &str, start: Instant, took: Duration| {
+        Span::stage(
+            name,
+            job,
+            since_epoch(start),
+            saturating_nanos(took),
+            &detail,
+        )
+    };
+
+    let started = Instant::now();
+    let mut spans = vec![stage(
+        "queue-wait",
+        submitted,
+        started.saturating_duration_since(submitted),
+    )];
+    // the unit's memoized key prefix already absorbed the canonical text:
+    // a cell hashes only entry, passes and machine digest, on the hit and
+    // the miss path alike. The machine digest is part of the key, so
+    // cells targeting different machines never alias in the store.
+    let key = finish_artifact_key(unit.key_prefix(), &unit.entry, &passes, machine_digest);
+    let t = Instant::now();
+    let hit = store.lookup(key, &machine);
+    spans.push(stage("cache-lookup", t, t.elapsed()));
+    if let Some(artifact) = hit {
+        return Ok((
+            UnitOutcome {
+                cached: true,
+                artifact,
+            },
+            spans,
+        ));
+    }
+
+    let t = Instant::now();
+    let mut pass_times = PassTimes(Vec::new());
+    let compiled = Compiler::with_config(OptLevel::Verified, machine).compile_with_passes_observed(
+        unit.source(),
+        &unit.entry,
+        &passes,
+        &mut pass_times,
+    );
+    spans.push(stage("compile", t, t.elapsed()));
+    let base = since_epoch(t);
+    for (name, start, took) in pass_times.0 {
+        spans.push(Span::pass(
+            name,
+            job,
+            base.saturating_add(saturating_nanos(start)),
+            saturating_nanos(took),
+            &detail,
+        ));
+    }
+    let program = compiled.map_err(|error| PipelineError::Compile {
+        unit: unit.name.clone(),
+        error,
+    })?;
+
+    let t = Instant::now();
+    let analyzed = analyzer.analyze(&vericomp_wcet::AnalysisRequest::new(&program, &unit.entry));
+    spans.push(stage("analyze", t, t.elapsed()));
+    let analysis = analyzed.map_err(|error| PipelineError::Analyze {
+        unit: unit.name.clone(),
+        error,
+    })?;
+    // one provenance event per function body the session analyzer ran its
+    // fixpoints on, and one per body replayed from the fact cache
+    let base = since_epoch(t);
+    for _ in 0..analysis.functions_analyzed {
+        spans.push(Span::event("analyze:fixpoint", job, base, &detail));
+    }
+    for _ in 0..analysis.functions_reused {
+        spans.push(Span::event("analyze:reuse", job, base, &detail));
+    }
+    let artifact = Artifact::new(
+        key,
+        unit.entry.clone(),
+        label,
+        program,
+        Verdict::from_passes(&passes),
+        analysis.into_report(),
+    );
+
+    let t = Instant::now();
+    let inserted = store.insert(artifact);
+    spans.push(stage("store", t, t.elapsed()));
+    let artifact = inserted.map_err(PipelineError::Cache)?;
+    Ok((
+        UnitOutcome {
+            cached: false,
+            artifact,
+        },
+        spans,
+    ))
 }
 
 /// One fully-specified engine cell: a unit (shared by every cell it
@@ -740,6 +594,44 @@ mod tests {
         let err = pipeline.run_sweep(&spec).expect_err("must fail");
         assert!(matches!(err, PipelineError::Compile { .. }));
         assert_eq!(pipeline.store().resident(), 0);
+    }
+
+    #[test]
+    fn the_lowest_index_failing_cell_names_the_error_every_time() {
+        // cells 1 and 3 have no such entry; at jobs = 8 either may finish
+        // first, but the error must always name cell 1
+        let spec = suite_prefix(5).iter().enumerate().fold(
+            crate::sweep::SweepSpec::new(),
+            |spec, (i, node)| {
+                spec.unit(if i == 1 || i == 3 {
+                    crate::sweep::SweepUnit::from_source(
+                        &format!("broken{i}"),
+                        node.to_minic(),
+                        "no_such_entry",
+                    )
+                } else {
+                    crate::sweep::SweepUnit::from_node(node)
+                })
+            },
+        );
+        let pipeline = Pipeline::new(
+            &PipelineOptions::builder()
+                .jobs(8)
+                .build()
+                .expect("valid options"),
+        )
+        .expect("in-memory pipeline");
+        for round in 0..20 {
+            match pipeline.run_sweep(&spec) {
+                Err(PipelineError::Compile { unit, .. }) => {
+                    assert_eq!(unit, "broken1", "round {round}");
+                }
+                other => panic!("round {round}: expected a compile error, got {other:?}"),
+            }
+        }
+        // every cell ran to completion: the three good cells are cached,
+        // the failed ones left nothing behind
+        assert_eq!(pipeline.store().resident(), 3);
     }
 
     #[test]

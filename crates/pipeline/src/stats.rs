@@ -1,12 +1,13 @@
 //! Pipeline metrics: job counts, cache hit rate, per-stage wall time.
 //!
-//! Collection happens through [`StatsCell`], a lock-free atomic collector
-//! shared by every worker; drivers snapshot it into the plain
-//! [`PipelineStats`] value at the end of a run and print it with
+//! Nothing here is collected on its own: a cell's [`PipelineStats`] are
+//! derived from the [`Span`]s that cell recorded, and a run's aggregate is
+//! the merge of its cells. Drivers print the plain value with
 //! [`PipelineStats::render`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+
+use crate::trace::{Span, SpanKind};
 
 /// Converts a [`Duration`] to whole nanoseconds, saturating at
 /// `u64::MAX` instead of silently truncating the way `as_nanos() as u64`
@@ -36,6 +37,34 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
+    /// One cell's stats, derived from the spans it recorded: `compile_ns`
+    /// is its `compile` span, `analyze_ns` its `analyze` span, `store_ns`
+    /// its `cache-lookup` plus `store` spans, and `wall_ns` the sum of the
+    /// three (cells overlap on the pool, so no per-cell wall clock exists).
+    /// Exactly one of `jobs_run` / `jobs_cached` is 1, by `cached`.
+    #[must_use]
+    pub(crate) fn from_cell_spans(spans: &[Span], cached: bool) -> PipelineStats {
+        let mut stats = PipelineStats {
+            jobs_run: u64::from(!cached),
+            jobs_cached: u64::from(cached),
+            ..PipelineStats::default()
+        };
+        for span in spans.iter().filter(|s| s.kind == SpanKind::Stage) {
+            let slot = match span.name.as_str() {
+                "compile" => &mut stats.compile_ns,
+                "analyze" => &mut stats.analyze_ns,
+                "cache-lookup" | "store" => &mut stats.store_ns,
+                _ => continue,
+            };
+            *slot = slot.saturating_add(span.dur_ns);
+        }
+        stats.wall_ns = stats
+            .compile_ns
+            .saturating_add(stats.analyze_ns)
+            .saturating_add(stats.store_ns);
+        stats
+    }
+
     /// Total units processed.
     #[must_use]
     pub fn jobs_total(&self) -> u64 {
@@ -122,79 +151,19 @@ impl PipelineStats {
     }
 }
 
-/// Thread-safe stats collector. All counters are relaxed — they are
-/// telemetry, not synchronization.
-#[derive(Debug, Default)]
-pub struct StatsCell {
-    jobs_run: AtomicU64,
-    jobs_cached: AtomicU64,
-    compile_ns: AtomicU64,
-    analyze_ns: AtomicU64,
-    store_ns: AtomicU64,
-}
-
-impl StatsCell {
-    /// A zeroed collector.
-    #[must_use]
-    pub fn new() -> StatsCell {
-        StatsCell::default()
-    }
-
-    /// Records one from-scratch compilation.
-    pub fn count_run(&self) {
-        self.jobs_run.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one cache hit.
-    pub fn count_cached(&self) {
-        self.jobs_cached.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds compile-stage wall time.
-    pub fn add_compile(&self, d: Duration) {
-        self.compile_ns
-            .fetch_add(saturating_nanos(d), Ordering::Relaxed);
-    }
-
-    /// Adds analysis-stage wall time.
-    pub fn add_analyze(&self, d: Duration) {
-        self.analyze_ns
-            .fetch_add(saturating_nanos(d), Ordering::Relaxed);
-    }
-
-    /// Adds store lookup/insert wall time.
-    pub fn add_store(&self, d: Duration) {
-        self.store_ns
-            .fetch_add(saturating_nanos(d), Ordering::Relaxed);
-    }
-
-    /// Snapshots the counters, stamping `wall` as the end-to-end time.
-    #[must_use]
-    pub fn snapshot(&self, wall: Duration) -> PipelineStats {
-        PipelineStats {
-            jobs_run: self.jobs_run.load(Ordering::Relaxed),
-            jobs_cached: self.jobs_cached.load(Ordering::Relaxed),
-            compile_ns: self.compile_ns.load(Ordering::Relaxed),
-            analyze_ns: self.analyze_ns.load(Ordering::Relaxed),
-            store_ns: self.store_ns.load(Ordering::Relaxed),
-            wall_ns: saturating_nanos(wall),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn hit_rate_and_render() {
-        let cell = StatsCell::new();
-        for _ in 0..3 {
-            cell.count_run();
-        }
-        cell.count_cached();
-        cell.add_compile(Duration::from_millis(2));
-        let stats = cell.snapshot(Duration::from_millis(5));
+        let stats = PipelineStats {
+            jobs_run: 3,
+            jobs_cached: 1,
+            compile_ns: 2_000_000,
+            wall_ns: 5_000_000,
+            ..PipelineStats::default()
+        };
         assert_eq!(stats.jobs_total(), 4);
         assert!((stats.hit_rate() - 0.25).abs() < 1e-12);
         let text = stats.render();
@@ -203,6 +172,41 @@ mod tests {
         assert!(text.contains("25.0% hit rate"));
         let compact = stats.render_compact();
         assert_eq!(compact, "pipeline: 3 run / 1 cached (25.0% hit rate)");
+    }
+
+    #[test]
+    fn cell_stats_are_derived_from_the_cells_stage_spans() {
+        let miss = [
+            Span::stage("queue-wait", 0, 0, 1000, ""),
+            Span::stage("cache-lookup", 0, 1000, 5, ""),
+            Span::stage("compile", 0, 1005, 300, ""),
+            Span::pass("lower", 0, 1005, 100, ""),
+            Span::stage("analyze", 0, 1305, 40, ""),
+            Span::event("analyze:fixpoint", 0, 1305, ""),
+            Span::stage("store", 0, 1345, 7, ""),
+        ];
+        assert_eq!(
+            PipelineStats::from_cell_spans(&miss, false),
+            PipelineStats {
+                jobs_run: 1,
+                jobs_cached: 0,
+                compile_ns: 300,
+                analyze_ns: 40,
+                store_ns: 12,
+                wall_ns: 352,
+            }
+        );
+        // a hit: queue wait is not a stage time, the lookup is store time
+        let hit = &miss[..2];
+        assert_eq!(
+            PipelineStats::from_cell_spans(hit, true),
+            PipelineStats {
+                jobs_cached: 1,
+                store_ns: 5,
+                wall_ns: 5,
+                ..PipelineStats::default()
+            }
+        );
     }
 
     #[test]

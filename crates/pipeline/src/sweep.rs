@@ -7,7 +7,7 @@
 //! used to hand-roll that loop around `compile_units`, duplicating cache
 //! keys, stats handling and determinism tie-breaks. A [`SweepSpec`] names
 //! the three axes once; [`Pipeline::run_sweep`] flattens the cross product
-//! into one sharded job set for the work-stealing pool and returns a
+//! into one closure per cell on the thread pool and returns a
 //! [`SweepResult`] with indexed lookup (`&result[("node", "config",
 //! "machine")]`), per-axis aggregation and per-cell [`PipelineStats`].
 //!
@@ -594,7 +594,7 @@ impl fmt::Display for SweepResult {
 
 impl Pipeline {
     /// Runs a sweep: flattens the (units × configs × machines) cross
-    /// product into one sharded job set on the work-stealing pool, serving
+    /// product into one closure per cell on the thread pool, serving
     /// every previously-seen cell from the artifact cache (the key already
     /// separates all three axes). Cells come back in flattening order
     /// regardless of scheduling, so equal specs yield equal
@@ -606,7 +606,8 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// The first [`PipelineError`] any cell hit.
+    /// The [`PipelineError`] of the lowest-index failing cell, in
+    /// flattening order; every cell still runs to completion.
     ///
     /// # Panics
     ///
@@ -1013,18 +1014,34 @@ mod tests {
 
     #[test]
     fn ast_built_units_compile_the_callers_ast_from_a_cold_store() {
-        // the printer writes an integral double of magnitude >= 1e15
-        // without a fraction or exponent, so this node's canonical text
-        // does not parse back; the unit must compile the AST it was given
-        let mut b = vericomp_dataflow::NodeBuilder::new("wide_clamp");
-        let x = b.acquisition(0);
-        let y = b.saturation(x, -1e20, 1e20);
-        b.output("y", y);
-        let node = b.build().expect("valid node");
-        let unit = SweepUnit::from_node(&node);
-        assert!(vericomp_minic::parse::parse(unit.canonical()).is_err());
+        // the lexer reads string literals byte by byte, so an annotation
+        // whose format string is non-ASCII prints to text that parses back
+        // to a different AST; the unit must compile the AST it was given
+        use vericomp_minic::ast::{Expr, GlobalDef, Stmt};
+        let node = &suite_prefix(1)[0];
+        let mut program = node.to_minic();
+        let observed = program
+            .globals
+            .iter()
+            .find(|g| matches!(g.def, GlobalDef::ScalarF64(_)))
+            .expect("a scalar double global")
+            .name
+            .clone();
+        program
+            .functions
+            .iter_mut()
+            .find(|f| f.name == node.step_name())
+            .expect("the step function")
+            .body
+            .insert(0, Stmt::Annot("0 ≤ %1".into(), vec![Expr::var(observed)]));
+        let unit = SweepUnit::from_source(node.name(), program.clone(), node.step_name());
+        assert_ne!(
+            vericomp_minic::parse::parse(unit.canonical()).ok(),
+            Some(program.clone()),
+            "the annotated program must not round-trip"
+        );
         assert!(unit.derived.ast.get().is_some(), "kept the AST");
-        assert_eq!(*unit.source(), node.to_minic());
+        assert_eq!(*unit.source(), program);
         // a node whose text round-trips keeps text only
         let plain = SweepUnit::from_node(&suite_prefix(1)[0]);
         assert!(plain.derived.ast.get().is_none(), "dropped the AST");

@@ -20,7 +20,7 @@
 //!   and declarative per-frame WCET-budget properties, lowered to
 //!   `SweepSpec`s and decided against `run_sweep` bounds into a
 //!   deterministic schedulability report.
-//! * [`bench`] — a plain-`Instant` benchmark harness emitting
+//! * [`mod@bench`] — a plain-`Instant` benchmark harness emitting
 //!   `BENCH_<group>.json` machine-readable summaries.
 //! * [`oracle`] — the cross-layer differential fuzz oracle behind the
 //!   `fuzz_pipeline` binary: random dataflow nodes through

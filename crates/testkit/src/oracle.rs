@@ -487,7 +487,7 @@ pub fn run(
     }
 }
 
-/// Runs the oracle cases on the pipeline's work-stealing pool.
+/// Runs the oracle cases on the pipeline's thread pool.
 ///
 /// Replayability is identical to [`run`]: every case's seed is derived
 /// from its **index** (`mix(base_seed, i)`, case 0 = the base seed), never

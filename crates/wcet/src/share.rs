@@ -359,8 +359,8 @@ impl Iterator for PMapIter<'_> {
 /// become pointer-equal, making the fixpoint's state comparison `O(1)` on
 /// everything previously seen.
 ///
-/// The arena is single-threaded by design (the session [`Analyzer`]
-/// (`crate::Analyzer`) keeps a pool and checks one out per call); node ids
+/// The arena is single-threaded by design (the session
+/// [`Analyzer`](crate::Analyzer) keeps a pool and checks one out per call); node ids
 /// are globally meaningful only as "equal ids ⇒ equal trees".
 #[derive(Debug, Default)]
 pub struct Arena {

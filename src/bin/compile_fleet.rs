@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Compiles every requested cell of the (nodes × configs × machines) sweep
-//! matrix on the work-stealing pool, serving unchanged cells from the
+//! matrix on the thread pool, serving unchanged cells from the
 //! content-addressed artifact cache, then prints per-cell WCET bounds, the
 //! run's [`vericomp_pipeline::PipelineStats`] and the sweep output digest
 //! (bit-identical runs print identical digests — the CI smoke compares

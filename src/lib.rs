@@ -18,7 +18,7 @@
 //! * [`wcet`] — the aiT-like static WCET analyzer consuming the binary and
 //!   the generated annotation file,
 //! * [`pipeline`] — the parallel compilation service: std-only
-//!   work-stealing job pool, content-addressed artifact cache (keyed on
+//!   thread pool, content-addressed artifact cache (keyed on
 //!   source, passes, machine config and toolchain stamps; populated only
 //!   after translation validators accept), and incremental fleet rebuilds,
 //! * [`testkit`] — hermetic test infrastructure, including the scenario
@@ -325,7 +325,7 @@ pub mod harness {
     /// parallel pipeline: the [`search_wcet`] lattice search of the linked
     /// image, seeded with [`wcet_driven_candidates`]. Each frontier
     /// generation's probes compile and analyze concurrently on the
-    /// work-stealing pool, each cached content-addressed, and the binary
+    /// thread pool, each cached content-addressed, and the binary
     /// with the smallest WCET bound wins (seeds probe first and the first
     /// minimum wins ties — the same selection rule as the serial
     /// [`compile_wcet_driven`]).

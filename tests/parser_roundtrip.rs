@@ -35,6 +35,43 @@ fn random_fleet_pretty_parse_identity() {
 }
 
 #[test]
+fn large_integral_double_literals_pretty_parse_identity() {
+    // integral doubles at or above 1e15 in magnitude print in exponent
+    // form; a bare digit string would lex back as an (out-of-range) int
+    use vericomp::minic::ast::{Expr, Function, Global, GlobalDef, Program, Stmt};
+    let literals = [
+        1e15,
+        -1e15,
+        1e20,
+        -1e20,
+        9_007_199_254_740_992.0, // 2^53
+        -1e300,
+    ];
+    let p1 = Program {
+        globals: vec![Global {
+            name: "y".into(),
+            def: GlobalDef::ScalarF64(None),
+        }],
+        functions: vec![Function {
+            name: "step".into(),
+            params: vec![],
+            ret: None,
+            locals: vec![],
+            body: literals
+                .iter()
+                .map(|&v| Stmt::Assign("y".into(), Expr::FloatLit(v)))
+                .collect(),
+        }],
+    };
+    let text = pretty::program_to_c(&p1);
+    assert!(text.contains("y = 1e20;"), "{text}");
+    assert!(text.contains("y = -1e300;"), "{text}");
+    let p2 = parse::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    assert_eq!(p1, p2, "large literals do not round-trip:\n{text}");
+    typeck::check(&p2).expect("typechecks");
+}
+
+#[test]
 fn hand_written_source_compiles_and_runs() {
     // The full path from C text: parse → typecheck → compile → simulate.
     let src = r#"

@@ -8,7 +8,10 @@
 use vericomp::arch::MachineConfig;
 use vericomp::core::{Compiler, OptLevel};
 use vericomp::dataflow::fleet;
-use vericomp::pipeline::{Pipeline, PipelineOptions, SearchSpec, SpanKind, SweepSpec};
+use vericomp::dataflow::Node;
+use vericomp::pipeline::{
+    Pipeline, PipelineOptions, PipelineStats, SearchSpec, SpanKind, SweepResult, SweepSpec,
+};
 use vericomp::testkit::scenario::{Scenario, ScenarioConfig};
 
 fn pipeline_with_jobs(jobs: usize) -> Pipeline {
@@ -83,22 +86,33 @@ fn fleet_build_is_bit_identical_across_job_counts_and_vs_serial() {
     }
 }
 
-#[test]
-fn sweep_matrix_is_bit_identical_across_job_counts_and_vs_serial() {
-    // the full three-axis request: nodes × configs × machines, exactly
-    // what `run_sweep` shards onto the pool in one job set
-    let nodes: Vec<_> = fleet::named_suite().into_iter().take(4).collect();
+/// The first four suite nodes, the unit axis of [`matrix_spec`].
+fn matrix_nodes() -> Vec<Node> {
+    fleet::named_suite().into_iter().take(4).collect()
+}
+
+/// The 4 × 3 × 2 sweep matrix: `nodes` × three levels × two machines.
+fn matrix_spec(nodes: &[Node]) -> SweepSpec {
     let slow_mem = {
         let mut m = MachineConfig::mpc755();
         m.mem_latency *= 4;
         m
     };
     let spec = SweepSpec::new()
-        .nodes(&nodes)
+        .nodes(nodes)
         .levels([OptLevel::PatternO0, OptLevel::Verified, OptLevel::OptFull])
         .machine("mpc755", &MachineConfig::mpc755())
         .machine("slow-mem", &slow_mem);
-    assert_eq!(spec.cell_count(), 4 * 3 * 2);
+    assert_eq!(spec.cell_count(), nodes.len() * 3 * 2);
+    spec
+}
+
+#[test]
+fn sweep_matrix_is_bit_identical_across_job_counts_and_vs_serial() {
+    // the full three-axis request: nodes × configs × machines, exactly
+    // what `run_sweep` shards onto the pool in one job set
+    let nodes = matrix_nodes();
+    let spec = matrix_spec(&nodes);
 
     let one = pipeline_with_jobs(1)
         .run_sweep(&spec)
@@ -231,6 +245,81 @@ fn trace_profile_counters_are_deterministic_across_job_counts() {
     assert_eq!(rt.count_of(SpanKind::Stage, "cache-lookup"), 26);
     assert_eq!(rt.count_of(SpanKind::Stage, "compile"), 0);
     assert_eq!(rt.count_of(SpanKind::Pass, "lower"), 0);
+}
+
+/// Checks that every cell of `sweep` recorded one `queue-wait` and one
+/// `cache-lookup` span, that hits recorded no compile/analyze/store span
+/// and misses exactly one of each, and that every cell's stats — and the
+/// aggregate's counters and stage times — equal what its spans say.
+fn assert_stats_match_spans(sweep: &SweepResult, what: &str) {
+    let mut sum = PipelineStats::default();
+    for (i, cell) in sweep.cells().iter().enumerate() {
+        let durations = |name: &str| -> Vec<u64> {
+            sweep
+                .trace()
+                .spans()
+                .iter()
+                .filter(|s| s.job == i as u32 && s.kind == SpanKind::Stage && s.name == name)
+                .map(|s| s.dur_ns)
+                .collect()
+        };
+        let lookup = durations("cache-lookup");
+        let (compile, analyze, store) = (
+            durations("compile"),
+            durations("analyze"),
+            durations("store"),
+        );
+        assert_eq!(
+            durations("queue-wait").len(),
+            1,
+            "{what}: cell {i} queue-wait spans"
+        );
+        assert_eq!(lookup.len(), 1, "{what}: cell {i} cache-lookup spans");
+        let misses = usize::from(!cell.outcome.cached);
+        for (name, spans) in [
+            ("compile", &compile),
+            ("analyze", &analyze),
+            ("store", &store),
+        ] {
+            assert_eq!(spans.len(), misses, "{what}: cell {i} {name} spans");
+        }
+        let total = |d: &[u64]| d.iter().sum::<u64>();
+        let (compile_ns, analyze_ns) = (total(&compile), total(&analyze));
+        let store_ns = total(&lookup) + total(&store);
+        let expected = PipelineStats {
+            jobs_run: u64::from(!cell.outcome.cached),
+            jobs_cached: u64::from(cell.outcome.cached),
+            compile_ns,
+            analyze_ns,
+            store_ns,
+            wall_ns: compile_ns + analyze_ns + store_ns,
+        };
+        assert_eq!(
+            cell.stats, expected,
+            "{what}: cell {i} stats differ from its spans"
+        );
+        sum.merge(&expected);
+    }
+    // the aggregate's wall is the run's own clock, not a sum over cells
+    sum.wall_ns = sweep.stats.wall_ns;
+    assert_eq!(
+        sweep.stats, sum,
+        "{what}: aggregate differs from the sum over cells"
+    );
+}
+
+#[test]
+fn cell_stats_agree_with_the_cells_own_spans_cold_and_warm() {
+    let nodes = matrix_nodes();
+    let spec = matrix_spec(&nodes);
+    for jobs in [1, 8] {
+        let pipeline = pipeline_with_jobs(jobs);
+        let cold = pipeline.run_sweep(&spec).expect("cold sweep");
+        assert_stats_match_spans(&cold, &format!("jobs={jobs} cold"));
+        let warm = pipeline.run_sweep(&spec).expect("warm sweep");
+        assert_eq!(warm.stats.jobs_cached, spec.cell_count() as u64);
+        assert_stats_match_spans(&warm, &format!("jobs={jobs} warm"));
+    }
 }
 
 #[test]
@@ -560,6 +649,39 @@ fn daemon_parse_cached_client_uploads_nothing_and_matches_solo() {
 
     let mut admin = Client::connect(&socket).expect("connects");
     admin.shutdown().expect("acknowledged");
+    handle.join().expect("clean run");
+}
+
+#[test]
+fn daemon_serves_large_integral_limits_like_solo() {
+    // `saturation(x, -1e20, 1e20)` puts integral doubles of magnitude
+    // >= 1e15 into the generated source: the printer must write them so
+    // the daemon's parse of the uploaded text reads back the same doubles
+    let mut b = vericomp::dataflow::NodeBuilder::new("wide_clamp");
+    let x = b.acquisition(0);
+    let y = b.saturation(x, -1e20, 1e20);
+    b.output("y", y);
+    let node = b.build().expect("valid node");
+    let spec = normalize_spec(
+        &SweepSpec::new()
+            .nodes(std::slice::from_ref(&node))
+            .levels([OptLevel::Verified, OptLevel::OptFull]),
+        &MachineConfig::mpc755(),
+    );
+    let solo = pipeline_with_jobs(1).run_sweep(&spec).expect("solo sweep");
+
+    let socket = daemon_socket("wide-literals");
+    let server = Server::new(&ServerOptions::new(&socket)).expect("binds");
+    let handle = std::thread::spawn(move || server.run().expect("serves"));
+    let mut client = Client::connect(&socket).expect("connects");
+    let served = client.run_sweep(&spec).expect("served");
+    assert!(served.verify(), "bad frame");
+    assert_eq!(
+        served.digest,
+        solo.digest(),
+        "served digest diverges from solo"
+    );
+    client.shutdown().expect("acknowledged");
     handle.join().expect("clean run");
 }
 
