@@ -461,6 +461,28 @@ if ! grep -q '^server: p99 SLO .*: met (p99 ' target/vericomp-ci-telemetry-stats
     echo "telemetry smoke FAILED: p99 SLO line missing or MISSED" >&2
     exit 1
 fi
+# the stats view is derived from the registry: both admin reads report
+# the same counters
+python3 - target/vericomp-ci-telemetry-stats.txt \
+    target/vericomp-ci-telemetry-metrics.txt <<'EOF'
+import json, re, sys
+stats = open(sys.argv[1]).read()
+counters = json.load(open(sys.argv[2]))["counters"]
+def field(pattern):
+    m = re.search(pattern, stats, re.M)
+    assert m, f"stats output lacks /{pattern}/"
+    return int(m.group(1))
+view = {
+    "requests": field(r"^server: requests (\d+) "),
+    "batches": field(r"^server: requests \d+ batches (\d+) "),
+    "units_uploaded": field(r"^server: wire .* uploaded (\d+)$"),
+    "evictions": field(r"^server: store .* evictions (\d+)$"),
+}
+for name, value in view.items():
+    assert counters.get(name, 0) == value, \
+        f"--stats-of {name} {value} != --metrics-of {counters.get(name, 0)}"
+print(f"telemetry smoke: --stats-of and --metrics-of agree on {sorted(view)}")
+EOF
 # clean shutdown persists the registry to --metrics-json
 cargo run --release --offline -p vericomp --bin vericomp_serve -- \
     --shutdown "$TELEM_SOCK"
@@ -494,9 +516,9 @@ notes = doc["notes"]
 metrics = notes["metrics"]
 for hist in ("request_wall_ns", "batch_cells", "queue_depth"):
     assert metrics["histograms"][hist]["count"] >= 1, f"`{hist}` empty in BENCH_daemon.json"
-server = notes["server"]
-assert server["request_p50_ns"] >= 1 and server["request_p99_ns"] >= server["request_p50_ns"], \
-    "request latency percentiles missing from the server stats note"
+latency = metrics["histograms"]["request_wall_ns"]
+assert latency["p50"] >= 1 and latency["p99"] >= latency["p50"], \
+    "request latency percentiles missing from the metrics note"
 recorder = notes["recorder"]
 assert recorder["warm_on_ns"] >= 1 and recorder["warm_off_ns"] >= 1
 print("daemon bench: BENCH_daemon.json carries latency percentiles + histograms")

@@ -22,12 +22,12 @@
 //! uploaded** — the v2 protocol resolves every unit from the parse
 //! cache by digest) and warm again from a *fresh* connection that has
 //! to negotiate `have`/`need` first (also zero uploads). The daemon's
-//! own [`ServerStats`] ride along in the summary under the `server`
-//! note, so `BENCH_daemon.json` records hit rate, evictions, wire
-//! bytes, parse-cache traffic and per-stage nanos next to the timings —
-//! and the full metrics registry (per-request latency, batch-size and
-//! queue-depth histograms with p50/p90/p99, plus its counter digest)
-//! rides under the `metrics` note.
+//! metrics registry — its one counter store — rides along in the summary
+//! under the `metrics` note, so `BENCH_daemon.json` records request,
+//! batch, cache, eviction, wire and parse-cache counters, per-stage
+//! nanosecond totals, the per-request latency, batch-size and
+//! queue-depth histograms with p50/p90/p99, and the counter digest next
+//! to the timings.
 //!
 //! Acceptance bars asserted below: the warm served request is at least
 //! 5x faster than the cold one, the warm soak beats the recorded v1
@@ -252,7 +252,6 @@ fn main() {
             warm_ns / 1e6
         ),
     );
-    g.note("server", &server_stats.to_json());
     g.note("stats", &warm_soak.stats.to_json());
     g.note("metrics", &client.server_metrics().expect("metrics"));
 

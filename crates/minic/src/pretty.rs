@@ -176,6 +176,18 @@ fn stmt(s: &Stmt, indent: usize, out: &mut String) {
     }
 }
 
+/// A global `double` initializer as text. Integral values of magnitude
+/// ≥ 2^63 would print as a digit string the lexer rejects as an
+/// out-of-range int, so they take the exponent form `Expr::FloatLit`
+/// uses; every other value prints as `{v}`, unchanged.
+fn init_f64(v: f64) -> String {
+    if v.fract() == 0.0 && v.abs() >= 9_223_372_036_854_775_808.0 {
+        format!("{v:e}")
+    } else {
+        v.to_string()
+    }
+}
+
 fn global(g: &Global, out: &mut String) {
     match &g.def {
         GlobalDef::ScalarI32(init) => {
@@ -186,7 +198,7 @@ fn global(g: &Global, out: &mut String) {
         }
         GlobalDef::ScalarF64(init) => {
             let _ = match init {
-                Some(v) => writeln!(out, "double {} = {v};", g.name),
+                Some(v) => writeln!(out, "double {} = {};", g.name, init_f64(*v)),
                 None => writeln!(out, "double {};", g.name),
             };
         }
@@ -207,7 +219,7 @@ fn global(g: &Global, out: &mut String) {
             );
         }
         GlobalDef::ArrayF64(vals) => {
-            let items: Vec<String> = vals.iter().map(|v| v.to_string()).collect();
+            let items: Vec<String> = vals.iter().map(|&v| init_f64(v)).collect();
             let _ = writeln!(
                 out,
                 "double {}[{}] = {{{}}};",

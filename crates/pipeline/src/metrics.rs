@@ -8,7 +8,8 @@
 //!
 //! * **Counters** count work (requests, batches, cache hits). For a
 //!   fixed workload they are a pure function of the requests served, so
-//!   [`Registry::counter_digest`] hashes them.
+//!   [`Registry::counter_digest`] hashes them. No value that depends on
+//!   timing is a counter: nanosecond and byte totals are histogram sums.
 //! * **Gauges** sample instantaneous state (queue depth, resident
 //!   bytes). Excluded from the digest.
 //! * **Histograms** bucket observations by power of two. Bucket
@@ -139,6 +140,16 @@ impl Histogram {
     }
 }
 
+/// The named entry of a registry map, created at its default on first
+/// use. Only a first use allocates the name: the hot paths update
+/// existing entries.
+fn entry<'m, V: Default>(map: &'m mut BTreeMap<String, V>, name: &str) -> &'m mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_owned(), V::default());
+    }
+    map.get_mut(name).expect("inserted above")
+}
+
 /// The registry: named counters, gauges, and histograms behind one
 /// coarse mutex each. Registration is implicit — the first `incr` /
 /// `set_gauge` / `observe` of a name creates it — and iteration order is
@@ -161,7 +172,7 @@ impl Registry {
     /// Adds `by` to the named counter (creating it at 0).
     pub fn incr(&self, name: &str, by: u64) {
         let mut m = self.counters.lock().expect("metrics lock");
-        *m.entry(name.to_owned()).or_insert(0) += by;
+        *entry(&mut m, name) += by;
     }
 
     /// Current value of the named counter, 0 when absent.
@@ -184,7 +195,7 @@ impl Registry {
     /// Raises the named gauge to `v` if `v` is larger (peak tracking).
     pub fn raise_gauge(&self, name: &str, v: u64) {
         let mut m = self.gauges.lock().expect("metrics lock");
-        let g = m.entry(name.to_owned()).or_insert(0);
+        let g = entry(&mut m, name);
         if v > *g {
             *g = v;
         }
@@ -204,7 +215,7 @@ impl Registry {
     /// Records one observation into the named histogram.
     pub fn observe(&self, name: &str, v: u64) {
         let mut m = self.histograms.lock().expect("metrics lock");
-        m.entry(name.to_owned()).or_default().record(v);
+        entry(&mut m, name).record(v);
     }
 
     /// A snapshot clone of the named histogram, if it exists.

@@ -873,8 +873,8 @@ impl SweepResponse {
     }
 }
 
-/// Server-side aggregate metrics, served to `stats` requests and
-/// embedded in `BENCH_daemon.json`.
+/// Server-side aggregate metrics, served to `stats` requests: a view
+/// the server derives from its metrics registry at snapshot time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Sweep requests served (stats/shutdown requests not counted).
@@ -1053,134 +1053,65 @@ impl ServerStats {
         }
         s
     }
-
-    /// Single-line JSON object (for `BENCH_daemon.json` embedding).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"requests\":{},\"batches\":{},\"batched_cells\":{},",
-                "\"jobs_run\":{},\"jobs_cached\":{},\"hit_rate\":{:.6},",
-                "\"evictions\":{},\"resident\":{},\"store_bytes\":{},\"shards\":{},",
-                "\"queue_depth\":{},\"queue_peak\":{},\"deferred\":{},",
-                "\"compile_ns\":{},\"analyze_ns\":{},\"store_ns\":{},\"wall_ns\":{},",
-                "\"bytes_rx\":{},\"bytes_tx\":{},",
-                "\"units_offered\":{},\"units_uploaded\":{},",
-                "\"parse_hits\":{},\"parse_misses\":{},\"parse_hit_rate\":{:.6},",
-                "\"parse_evictions\":{},\"parse_resident\":{},\"parse_bytes\":{},",
-                "\"request_p50_ns\":{},\"request_p99_ns\":{},\"slo_p99_ns\":{},",
-                "\"proto_minor\":{},",
-                "\"slo_per_mille\":{},\"slo_met\":{}}}"
-            ),
-            self.requests,
-            self.batches,
-            self.batched_cells,
-            self.jobs_run,
-            self.jobs_cached,
-            self.hit_rate(),
-            self.evictions,
-            self.resident,
-            self.store_bytes,
-            self.shards,
-            self.queue_depth,
-            self.queue_peak,
-            self.deferred,
-            self.compile_ns,
-            self.analyze_ns,
-            self.store_ns,
-            self.wall_ns,
-            self.bytes_rx,
-            self.bytes_tx,
-            self.units_offered,
-            self.units_uploaded,
-            self.parse_hits,
-            self.parse_misses,
-            self.parse_hit_rate(),
-            self.parse_evictions,
-            self.parse_resident,
-            self.parse_bytes,
-            self.request_p50_ns,
-            self.request_p99_ns,
-            self.slo_p99_ns,
-            self.proto_minor,
-            self.slo_per_mille,
-            self.slo_met(),
-        )
-    }
-
-    fn fields(&self) -> [(&'static str, u64); 30] {
-        [
-            ("requests", self.requests),
-            ("batches", self.batches),
-            ("batched_cells", self.batched_cells),
-            ("jobs_run", self.jobs_run),
-            ("jobs_cached", self.jobs_cached),
-            ("evictions", self.evictions),
-            ("resident", self.resident),
-            ("store_bytes", self.store_bytes),
-            ("shards", self.shards),
-            ("queue_depth", self.queue_depth),
-            ("queue_peak", self.queue_peak),
-            ("deferred", self.deferred),
-            ("compile_ns", self.compile_ns),
-            ("analyze_ns", self.analyze_ns),
-            ("store_ns", self.store_ns),
-            ("wall_ns", self.wall_ns),
-            ("slo_per_mille", self.slo_per_mille),
-            ("bytes_rx", self.bytes_rx),
-            ("bytes_tx", self.bytes_tx),
-            ("units_offered", self.units_offered),
-            ("units_uploaded", self.units_uploaded),
-            ("parse_hits", self.parse_hits),
-            ("parse_misses", self.parse_misses),
-            ("parse_evictions", self.parse_evictions),
-            ("parse_resident", self.parse_resident),
-            ("parse_bytes", self.parse_bytes),
-            ("request_p50_ns", self.request_p50_ns),
-            ("request_p99_ns", self.request_p99_ns),
-            ("slo_p99_ns", self.slo_p99_ns),
-            ("proto_minor", self.proto_minor),
-        ]
-    }
-
-    fn set_field(&mut self, name: &str, value: u64) -> bool {
-        let slot = match name {
-            "requests" => &mut self.requests,
-            "batches" => &mut self.batches,
-            "batched_cells" => &mut self.batched_cells,
-            "jobs_run" => &mut self.jobs_run,
-            "jobs_cached" => &mut self.jobs_cached,
-            "evictions" => &mut self.evictions,
-            "resident" => &mut self.resident,
-            "store_bytes" => &mut self.store_bytes,
-            "shards" => &mut self.shards,
-            "queue_depth" => &mut self.queue_depth,
-            "queue_peak" => &mut self.queue_peak,
-            "deferred" => &mut self.deferred,
-            "compile_ns" => &mut self.compile_ns,
-            "analyze_ns" => &mut self.analyze_ns,
-            "store_ns" => &mut self.store_ns,
-            "wall_ns" => &mut self.wall_ns,
-            "slo_per_mille" => &mut self.slo_per_mille,
-            "bytes_rx" => &mut self.bytes_rx,
-            "bytes_tx" => &mut self.bytes_tx,
-            "units_offered" => &mut self.units_offered,
-            "units_uploaded" => &mut self.units_uploaded,
-            "parse_hits" => &mut self.parse_hits,
-            "parse_misses" => &mut self.parse_misses,
-            "parse_evictions" => &mut self.parse_evictions,
-            "parse_resident" => &mut self.parse_resident,
-            "parse_bytes" => &mut self.parse_bytes,
-            "request_p50_ns" => &mut self.request_p50_ns,
-            "request_p99_ns" => &mut self.request_p99_ns,
-            "slo_p99_ns" => &mut self.slo_p99_ns,
-            "proto_minor" => &mut self.proto_minor,
-            _ => return false,
-        };
-        *slot = value;
-        true
-    }
 }
+
+/// Where the server reads a [`ServerStats`] field from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StatSource {
+    /// The registry counter of the same name.
+    Counter,
+    /// The registry gauge of the same name.
+    Gauge,
+    /// The `sum` of the registry histogram of the same name: a timing or
+    /// byte total, which the registry keeps out of its counters.
+    HistSum,
+    /// Read at snapshot time: live store state, queue depth, latency
+    /// quantiles and configuration.
+    Live,
+}
+
+/// A mutable accessor of one [`ServerStats`] field.
+type StatField = fn(&mut ServerStats) -> &mut u64;
+
+/// The one name ↔ field table of [`ServerStats`], in wire order. The
+/// `stats` encoder and decoder both walk it, and the server fills every
+/// non-[`Live`](StatSource::Live) field from the registry entry of the
+/// same name.
+pub(crate) const STATS_FIELDS: [(&str, StatSource, StatField); 30] = {
+    use StatSource::{Counter, Gauge, HistSum, Live};
+    [
+        ("requests", Counter, |s| &mut s.requests),
+        ("batches", Counter, |s| &mut s.batches),
+        ("batched_cells", Counter, |s| &mut s.batched_cells),
+        ("jobs_run", Counter, |s| &mut s.jobs_run),
+        ("jobs_cached", Counter, |s| &mut s.jobs_cached),
+        ("evictions", Counter, |s| &mut s.evictions),
+        ("resident", Live, |s| &mut s.resident),
+        ("store_bytes", Live, |s| &mut s.store_bytes),
+        ("shards", Live, |s| &mut s.shards),
+        ("queue_depth", Live, |s| &mut s.queue_depth),
+        ("queue_peak", Gauge, |s| &mut s.queue_peak),
+        ("deferred", Counter, |s| &mut s.deferred),
+        ("compile_ns", HistSum, |s| &mut s.compile_ns),
+        ("analyze_ns", HistSum, |s| &mut s.analyze_ns),
+        ("store_ns", HistSum, |s| &mut s.store_ns),
+        ("wall_ns", HistSum, |s| &mut s.wall_ns),
+        ("slo_per_mille", Live, |s| &mut s.slo_per_mille),
+        ("bytes_rx", HistSum, |s| &mut s.bytes_rx),
+        ("bytes_tx", HistSum, |s| &mut s.bytes_tx),
+        ("units_offered", Counter, |s| &mut s.units_offered),
+        ("units_uploaded", Counter, |s| &mut s.units_uploaded),
+        ("parse_hits", Counter, |s| &mut s.parse_hits),
+        ("parse_misses", Counter, |s| &mut s.parse_misses),
+        ("parse_evictions", Counter, |s| &mut s.parse_evictions),
+        ("parse_resident", Live, |s| &mut s.parse_resident),
+        ("parse_bytes", Live, |s| &mut s.parse_bytes),
+        ("request_p50_ns", Live, |s| &mut s.request_p50_ns),
+        ("request_p99_ns", Live, |s| &mut s.request_p99_ns),
+        ("slo_p99_ns", Live, |s| &mut s.slo_p99_ns),
+        ("proto_minor", Live, |s| &mut s.proto_minor),
+    ]
+};
 
 /// One server response.
 #[derive(Debug, Clone)]
@@ -1282,8 +1213,9 @@ pub fn encode_response(response: &Response) -> String {
         }
         Response::Stats(stats) => {
             s.push_str("server-stats\n");
-            for (name, value) in stats.fields() {
-                let _ = writeln!(s, "{name} {value}");
+            let mut stats = stats.clone();
+            for (name, _, field) in STATS_FIELDS {
+                let _ = writeln!(s, "{name} {}", field(&mut stats));
             }
         }
         Response::Sweep(sweep) => {
@@ -1500,9 +1432,10 @@ pub fn decode_response(text: &str) -> Result<Response, ProtoError> {
                 let value: u64 = value
                     .parse()
                     .map_err(|_| ProtoError(format!("bad stats value `{value}`")))?;
-                if !stats.set_field(name, value) {
+                let Some((_, _, field)) = STATS_FIELDS.iter().find(|(n, _, _)| *n == name) else {
                     return err(format!("unknown stats field `{name}`"));
-                }
+                };
+                *field(&mut stats) = value;
             }
         }
         "sweep" => {
@@ -1775,15 +1708,8 @@ mod tests {
         };
         assert!(!missed.slo_met());
         assert!(missed.render().contains("SLO 0.990: MISSED"));
-        // json embeds the rates and the verdict
-        assert!(stats.to_json().contains("\"hit_rate\":0.761905"));
-        assert!(stats.to_json().contains("\"parse_hit_rate\":0.700000"));
-        assert!(stats.to_json().contains("\"units_uploaded\":6"));
-        assert!(stats.to_json().contains("\"slo_met\":true"));
         assert!(render.contains("latency request p50 1000000ns p99 8000000ns proto 2.1"));
         assert!(render.contains("p99 SLO 10000000ns: met (p99 8000000ns)"));
-        assert!(stats.to_json().contains("\"request_p99_ns\":8000000"));
-        assert!(stats.to_json().contains("\"proto_minor\":1"));
         // a breached p99 SLO flips the joint verdict even with hits fine
         let slow = ServerStats {
             request_p99_ns: 20_000_000,

@@ -37,6 +37,11 @@
 //! batch-granular and the evicted set is a pure function of the batch
 //! history — concurrent arrival order inside a batch cannot change the
 //! post-eviction store digest.
+//!
+//! **Telemetry.** Every event is counted once, in the server's
+//! [`Registry`]; a `stats` reply is a [`ServerStats`] view derived from
+//! it by name. `stats` and `metrics` reads wait for the running batch,
+//! so they see its evictions.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
@@ -52,7 +57,8 @@ use vericomp_arch::MachineConfig;
 use crate::metrics::Registry;
 use crate::proto::{
     cells_digest, decode_request, encode_response, frame_text, machine_to_fields, passes_to_bits,
-    read_frame, CellSummary, Request, Response, ServerStats, SweepResponse, WireSweep, PROTO_MINOR,
+    read_frame, CellSummary, Request, Response, ServerStats, StatSource, SweepResponse, WireSweep,
+    PROTO_MINOR, STATS_FIELDS,
 };
 use crate::recorder::{FlightRecorder, DEFAULT_RECORDER_CAP};
 use crate::service::{Pipeline, PipelineOptions};
@@ -142,48 +148,20 @@ struct QueueState {
     closed: bool,
 }
 
-/// Monotonic server counters (see [`ServerStats`] for meanings).
-#[derive(Default)]
-struct Metrics {
-    requests: AtomicU64,
-    batches: AtomicU64,
-    batched_cells: AtomicU64,
-    jobs_run: AtomicU64,
-    jobs_cached: AtomicU64,
-    queue_peak: AtomicU64,
-    deferred: AtomicU64,
-    compile_ns: AtomicU64,
-    analyze_ns: AtomicU64,
-    store_ns: AtomicU64,
-    wall_ns: AtomicU64,
-    bytes_rx: AtomicU64,
-    bytes_tx: AtomicU64,
-    units_offered: AtomicU64,
-    units_uploaded: AtomicU64,
-    parse_hits: AtomicU64,
-    parse_misses: AtomicU64,
-}
-
-impl Metrics {
-    fn add(counter: &AtomicU64, v: u64) {
-        counter.fetch_add(v, Ordering::Relaxed);
-    }
-
-    fn raise(counter: &AtomicU64, v: u64) {
-        counter.fetch_max(v, Ordering::Relaxed);
-    }
-}
-
 /// State shared between the acceptor, the readers and the batcher.
 struct Shared {
     queue: Mutex<QueueState>,
     ready: Condvar,
     shutdown: AtomicBool,
-    metrics: Metrics,
-    /// Lifetime metrics registry, served by the `metrics` request. The
-    /// [`Metrics`] atomics above stay authoritative for [`ServerStats`];
-    /// the registry mirrors the deterministic counters and adds the
-    /// latency/batch/queue histograms the snapshot quantiles come from.
+    /// Held by the batcher for the whole of a batch. The `stats` and
+    /// `metrics` reads take it too, so an admin read sent right after a
+    /// batch's responses waits for that batch's eviction counters.
+    batch_running: Mutex<()>,
+    /// The server's one counter store: each event is recorded here
+    /// exactly once, the `metrics` request serves it, and
+    /// [`ServerStats`] is a view derived from it by name. No value that
+    /// depends on timing enters a counter: nanosecond and byte totals
+    /// are histogram sums.
     registry: Registry,
     /// The flight recorder (`None` under `--no-recorder`).
     recorder: Option<FlightRecorder>,
@@ -211,40 +189,34 @@ impl Shared {
         }
     }
 
+    /// The [`ServerStats`] view: live store state, queue depth, latency
+    /// quantiles and configuration read now, every other field read from
+    /// the registry entry of its own name.
     fn snapshot(&self) -> ServerStats {
-        let m = &self.metrics;
-        ServerStats {
-            requests: m.requests.load(Ordering::Relaxed),
-            batches: m.batches.load(Ordering::Relaxed),
-            batched_cells: m.batched_cells.load(Ordering::Relaxed),
-            jobs_run: m.jobs_run.load(Ordering::Relaxed),
-            jobs_cached: m.jobs_cached.load(Ordering::Relaxed),
-            evictions: self.store.evictions(),
+        let reg = &self.registry;
+        let mut stats = ServerStats {
             resident: self.store.resident() as u64,
             store_bytes: self.store.len_bytes(),
             shards: self.store.shard_count() as u64,
             queue_depth: self.queue.lock().expect("queue lock").items.len() as u64,
-            queue_peak: m.queue_peak.load(Ordering::Relaxed),
-            deferred: m.deferred.load(Ordering::Relaxed),
-            compile_ns: m.compile_ns.load(Ordering::Relaxed),
-            analyze_ns: m.analyze_ns.load(Ordering::Relaxed),
-            store_ns: m.store_ns.load(Ordering::Relaxed),
-            wall_ns: m.wall_ns.load(Ordering::Relaxed),
             slo_per_mille: self.slo_per_mille,
-            bytes_rx: m.bytes_rx.load(Ordering::Relaxed),
-            bytes_tx: m.bytes_tx.load(Ordering::Relaxed),
-            units_offered: m.units_offered.load(Ordering::Relaxed),
-            units_uploaded: m.units_uploaded.load(Ordering::Relaxed),
-            parse_hits: m.parse_hits.load(Ordering::Relaxed),
-            parse_misses: m.parse_misses.load(Ordering::Relaxed),
-            parse_evictions: self.store.parse_evictions(),
             parse_resident: self.store.parse_resident() as u64,
             parse_bytes: self.store.parse_len_bytes(),
-            request_p50_ns: self.registry.quantile("request_wall_ns", 0.50).unwrap_or(0),
-            request_p99_ns: self.registry.quantile("request_wall_ns", 0.99).unwrap_or(0),
+            request_p50_ns: reg.quantile("request_wall_ns", 0.50).unwrap_or(0),
+            request_p99_ns: reg.quantile("request_wall_ns", 0.99).unwrap_or(0),
             slo_p99_ns: self.slo_p99_ns,
             proto_minor: u64::from(PROTO_MINOR),
+            ..ServerStats::default()
+        };
+        for (name, source, field) in STATS_FIELDS {
+            *field(&mut stats) = match source {
+                StatSource::Counter => reg.counter(name),
+                StatSource::Gauge => reg.gauge(name),
+                StatSource::HistSum => reg.histogram(name).map_or(0, |h| h.sum()),
+                StatSource::Live => continue,
+            };
         }
+        stats
     }
 }
 
@@ -298,7 +270,7 @@ impl Server {
                 queue: Mutex::new(QueueState::default()),
                 ready: Condvar::new(),
                 shutdown: AtomicBool::new(false),
-                metrics: Metrics::default(),
+                batch_running: Mutex::new(()),
                 registry: Registry::new(),
                 recorder: options
                     .recorder
@@ -349,10 +321,7 @@ impl Server {
                         let _ = acceptor.join();
                         let _ = std::fs::remove_file(&self.shared.socket);
                         self.shared.record(0, 0, "shutdown", || {
-                            format!(
-                                "requests={}",
-                                self.shared.metrics.requests.load(Ordering::Relaxed)
-                            )
+                            format!("requests={}", self.shared.registry.counter("requests"))
                         });
                         if let Some(path) = &self.metrics_json {
                             let _ = std::fs::write(path, self.shared.registry.to_json());
@@ -406,7 +375,7 @@ impl Server {
             }
         }
         if !q.items.is_empty() {
-            Metrics::add(&self.shared.metrics.deferred, 1);
+            self.shared.registry.incr("deferred", 1);
         }
         selected
     }
@@ -414,13 +383,13 @@ impl Server {
     /// Runs one admitted batch: group by axis signature, merge unit axes
     /// (dedup by source + entry), one `run_sweep` per group, responses
     /// assembled per request. The store epoch advances first and bounds
-    /// are enforced after — the daemon's two batch-boundary hooks.
+    /// are enforced after — the daemon's two batch-boundary hooks. Admin
+    /// reads wait for the whole batch, bounds and eviction counters
+    /// included.
     fn execute_batch(&self, batch: Vec<Queued>) {
-        let m = &self.shared.metrics;
+        let _running = self.shared.batch_running.lock().expect("batch lock");
         let reg = &self.shared.registry;
         self.shared.store.advance_epoch();
-        Metrics::add(&m.batches, 1);
-        Metrics::add(&m.requests, batch.len() as u64);
         reg.incr("batches", 1);
         reg.incr("requests", batch.len() as u64);
         for item in &batch {
@@ -469,7 +438,6 @@ impl Server {
             for (label, machine) in members[0].spec.machines() {
                 merged = merged.machine(label, machine);
             }
-            Metrics::add(&m.batched_cells, merged.cell_count() as u64);
             reg.incr("batched_cells", merged.cell_count() as u64);
             reg.observe("batch_cells", merged.cell_count() as u64);
             self.shared.record(0, 0, "sweep-start", || {
@@ -478,13 +446,11 @@ impl Server {
 
             match self.pipeline.run_sweep(&merged) {
                 Ok(sweep) => {
-                    Metrics::add(&m.jobs_run, sweep.stats.jobs_run);
-                    Metrics::add(&m.jobs_cached, sweep.stats.jobs_cached);
-                    Metrics::add(&m.compile_ns, sweep.stats.compile_ns);
-                    Metrics::add(&m.analyze_ns, sweep.stats.analyze_ns);
-                    Metrics::add(&m.store_ns, sweep.stats.store_ns);
                     reg.incr("jobs_run", sweep.stats.jobs_run);
                     reg.incr("jobs_cached", sweep.stats.jobs_cached);
+                    reg.observe("compile_ns", sweep.stats.compile_ns);
+                    reg.observe("analyze_ns", sweep.stats.analyze_ns);
+                    reg.observe("store_ns", sweep.stats.store_ns);
                     self.shared.record(0, 0, "sweep-end", || {
                         format!(
                             "run={} cached={}",
@@ -509,33 +475,32 @@ impl Server {
                     }
                 }
             }
-            Metrics::add(&m.wall_ns, saturating_nanos(started.elapsed()));
+            reg.observe("wall_ns", saturating_nanos(started.elapsed()));
         }
 
-        self.shared.store.enforce_bounds();
-        self.bump_eviction_counters();
+        self.count_evictions();
     }
 
-    /// Mirrors the store's lifetime eviction counters into the registry
-    /// (as deltas, so registry == store at every batch boundary) and
-    /// records eviction events when a bound actually fired.
-    fn bump_eviction_counters(&self) {
+    /// Enforces the store's bounds and counts what they evicted (the
+    /// server is the store's only evictor, so registry == store at every
+    /// batch boundary), recording eviction events when a bound fired.
+    fn count_evictions(&self) {
         let reg = &self.shared.registry;
         let store = &self.shared.store;
-        let ev = store.evictions();
-        let prev = reg.counter("evictions");
-        if ev > prev {
-            reg.incr("evictions", ev - prev);
+        let (evicted, parse_evicted) = store.enforce_bounds();
+        if evicted > 0 {
+            reg.incr("evictions", evicted);
             self.shared.record(0, 0, "store-evict", || {
-                format!("evicted={} resident={}", ev - prev, store.resident())
+                format!("evicted={evicted} resident={}", store.resident())
             });
         }
-        let pev = store.parse_evictions();
-        let prev = reg.counter("parse_evictions");
-        if pev > prev {
-            reg.incr("parse_evictions", pev - prev);
+        if parse_evicted > 0 {
+            reg.incr("parse_evictions", parse_evicted);
             self.shared.record(0, 0, "parse-evict", || {
-                format!("evicted={} resident={}", pev - prev, store.parse_resident())
+                format!(
+                    "evicted={parse_evicted} resident={}",
+                    store.parse_resident()
+                )
             });
         }
     }
@@ -663,54 +628,63 @@ fn accept_loop(listener: &UnixListener, shared: &Arc<Shared>) {
 /// text, and a fresh digest without a body is an error the client
 /// answers by re-uploading — nothing reaches the batch queue unless
 /// *every* unit resolved, so a failed request never admits a partial
-/// batch.
+/// batch. Unit counts are recorded once per request, failed or not.
 fn resolve_sweep(wire: &WireSweep, shared: &Shared) -> Result<SweepSpec, String> {
-    let m = &shared.metrics;
-    let mut spec = SweepSpec::new();
-    for unit in &wire.units {
-        if unit.body.is_some() {
-            Metrics::add(&m.units_uploaded, 1);
-            shared.registry.incr("units_uploaded", 1);
-        }
-        // a warm unit resolves from its parse-cache entry without hashing
-        // a byte of its text: the digest is the cache address and the
-        // entry carries its key prefix
-        let resolved = match shared.store.parse_lookup(unit.digest) {
-            Some(parsed) => {
-                Metrics::add(&m.parse_hits, 1);
-                shared.registry.incr("parse_hits", 1);
-                SweepUnit::from_parsed(&unit.name, &parsed, unit.digest, &unit.entry)
+    let (mut uploaded, mut hits, mut misses) = (0, 0, 0);
+    let units: Result<Vec<SweepUnit>, String> = wire
+        .units
+        .iter()
+        .map(|unit| {
+            if unit.body.is_some() {
+                uploaded += 1;
             }
-            None => match &unit.body {
-                Some(body) => {
-                    Metrics::add(&m.parse_misses, 1);
-                    shared.registry.incr("parse_misses", 1);
-                    let ast = vericomp_minic::parse::parse(body)
-                        .map_err(|e| format!("unit `{}` failed to parse: {e}", unit.name))?;
-                    // an ill-typed unit is rejected here, with its own
-                    // request, instead of failing the whole batch it
-                    // would otherwise join; only well-typed units enter
-                    // the parse cache
-                    vericomp_minic::typeck::check(&ast)
-                        .map_err(|e| format!("unit `{}` failed to typecheck: {e}", unit.name))?;
-                    let parsed = ParsedUnit::new(Arc::clone(body));
-                    // a fresh unit is about to miss the store: its
-                    // compile reuses this parse
-                    let fresh =
-                        SweepUnit::from_parsed(&unit.name, &parsed, unit.digest, &unit.entry)
-                            .with_parsed_source(ast);
-                    shared.store.parse_insert(unit.digest, parsed);
-                    fresh
-                }
-                None => {
-                    return Err(format!(
-                        "unknown unit digest {} for unit `{}` (re-upload required)",
-                        unit.digest, unit.name
-                    ))
-                }
-            },
-        };
-        spec = spec.unit(resolved);
+            // a warm unit resolves from its parse-cache entry without
+            // hashing a byte of its text: the digest is the cache address
+            // and the entry carries its key prefix
+            if let Some(parsed) = shared.store.parse_lookup(unit.digest) {
+                hits += 1;
+                return Ok(SweepUnit::from_parsed(
+                    &unit.name,
+                    &parsed,
+                    unit.digest,
+                    &unit.entry,
+                ));
+            }
+            let Some(body) = &unit.body else {
+                return Err(format!(
+                    "unknown unit digest {} for unit `{}` (re-upload required)",
+                    unit.digest, unit.name
+                ));
+            };
+            misses += 1;
+            let ast = vericomp_minic::parse::parse(body)
+                .map_err(|e| format!("unit `{}` failed to parse: {e}", unit.name))?;
+            // an ill-typed unit is rejected here, with its own request,
+            // instead of failing the whole batch it would otherwise join;
+            // only well-typed units enter the parse cache
+            vericomp_minic::typeck::check(&ast)
+                .map_err(|e| format!("unit `{}` failed to typecheck: {e}", unit.name))?;
+            let parsed = ParsedUnit::new(Arc::clone(body));
+            // a fresh unit is about to miss the store: its compile reuses
+            // this parse
+            let fresh = SweepUnit::from_parsed(&unit.name, &parsed, unit.digest, &unit.entry)
+                .with_parsed_source(ast);
+            shared.store.parse_insert(unit.digest, parsed);
+            Ok(fresh)
+        })
+        .collect();
+    for (name, n) in [
+        ("units_uploaded", uploaded),
+        ("parse_hits", hits),
+        ("parse_misses", misses),
+    ] {
+        if n > 0 {
+            shared.registry.incr(name, n);
+        }
+    }
+    let mut spec = SweepSpec::new();
+    for unit in units? {
+        spec = spec.unit(unit);
     }
     for (label, passes) in &wire.configs {
         spec = spec.config(label, passes);
@@ -729,7 +703,7 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
             Ok(Some(frame)) => frame,
             Ok(None) | Err(_) => return,
         };
-        Metrics::add(&shared.metrics.bytes_rx, frame.len() as u64);
+        shared.registry.observe("bytes_rx", frame.len() as u64);
         let request = frame_text(&frame).and_then(decode_request);
         let response = match request {
             Err(e) => {
@@ -737,14 +711,19 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
                 shared.record(0, 0, "error", || e.to_string());
                 Response::Error(e.to_string())
             }
-            Ok(Request::Stats) => Response::Stats(shared.snapshot()),
-            Ok(Request::Metrics) => Response::Metrics(shared.registry.to_json()),
+            Ok(Request::Stats) => {
+                let _idle = shared.batch_running.lock().expect("batch lock");
+                Response::Stats(shared.snapshot())
+            }
+            Ok(Request::Metrics) => {
+                let _idle = shared.batch_running.lock().expect("batch lock");
+                Response::Metrics(shared.registry.to_json())
+            }
             Ok(Request::RecorderDump) => match &shared.recorder {
                 Some(recorder) => Response::Recorder(recorder.dump_json()),
                 None => Response::Error("flight recorder disabled (--no-recorder)".into()),
             },
             Ok(Request::Have(digests)) => {
-                Metrics::add(&shared.metrics.units_offered, digests.len() as u64);
                 shared.registry.incr("units_offered", digests.len() as u64);
                 // `parse_contains` stamps hits with the current epoch, so
                 // a just-negotiated digest is maximally recent when its
@@ -760,7 +739,7 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
                 shared.shutdown.store(true, Ordering::SeqCst);
                 shared.ready.notify_all();
                 let text = encode_response(&Response::Ok);
-                Metrics::add(&shared.metrics.bytes_tx, text.len() as u64);
+                shared.registry.observe("bytes_tx", text.len() as u64);
                 let _ = reader.get_mut().write_all(text.as_bytes());
                 // unblock the acceptor so it can observe the flag
                 let _ = UnixStream::connect(&shared.socket);
@@ -794,7 +773,6 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
                                     respond: tx,
                                 });
                                 let depth = q.items.len() as u64;
-                                Metrics::raise(&shared.metrics.queue_peak, depth);
                                 shared.registry.observe("queue_depth", depth);
                                 shared.registry.raise_gauge("queue_peak", depth);
                                 true
@@ -818,7 +796,7 @@ fn connection_loop(stream: UnixStream, client: u64, shared: &Arc<Shared>) {
             }
         };
         let text = encode_response(&response);
-        Metrics::add(&shared.metrics.bytes_tx, text.len() as u64);
+        shared.registry.observe("bytes_tx", text.len() as u64);
         if reader.get_mut().write_all(text.as_bytes()).is_err() {
             return;
         }
@@ -996,6 +974,115 @@ mod tests {
         assert!(after_b.parse_hit_rate() > 0.0);
         assert!(after_b.bytes_rx > 0 && after_b.bytes_tx > 0);
 
+        b.shutdown().expect("acknowledged");
+        handle.join().expect("run returns");
+    }
+
+    /// The `u64` value of `"name": <n>` in the flat JSON object after
+    /// `"section": {` (registry objects hold no nested braces).
+    fn json_u64(json: &str, section: &str, name: &str) -> Option<u64> {
+        let body = &json[json.find(&format!("\"{section}\": {{"))?..];
+        let body = &body[..body.find('}')?];
+        let at = body.find(&format!("\"{name}\": "))? + name.len() + 4;
+        body[at..]
+            .split(|c: char| !c.is_ascii_digit())
+            .next()?
+            .parse()
+            .ok()
+    }
+
+    #[test]
+    fn admin_reads_wait_for_the_running_batch_to_count_its_evictions() {
+        let socket = socket_path("server-evict-race");
+        let dir = std::env::temp_dir().join(format!("vericomp-evict-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut options = ServerOptions::new(&socket);
+        options.cache_dir = Some(dir.clone());
+        options.shards = 1;
+        options.max_bytes = Some(30_000);
+        let server = Server::new(&options).expect("binds");
+        let store = Arc::clone(server.store());
+        let handle = thread::spawn(move || server.run().expect("serves"));
+
+        // one serial client on a raw stream sends each metrics request
+        // right behind its sweep: the metrics read lands as soon as the
+        // sweep response is out, while the batch may still be evicting.
+        // A sliding window over the suite makes every request compile
+        // fresh cells and push older ones out of the bounded store; the
+        // cache dir makes each eviction also delete a `.vcart` file, which
+        // keeps the batch busy after its responses.
+        let mut stream = UnixStream::connect(&socket).expect("connects");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let metrics = crate::proto::encode_request(&Request::Metrics).expect("encodes");
+        for i in 0..24 {
+            let start = i * 7 % 14;
+            let wire = WireSweep::from_spec(&spec_of(start..start + 12), |_| true);
+            let sweep = crate::proto::encode_request(&Request::Sweep(wire)).expect("encodes");
+            stream
+                .write_all(format!("{sweep}{metrics}").as_bytes())
+                .expect("writes");
+            let doc = read_text(&mut reader).expect("sweep frame");
+            assert!(doc.contains("\nsweep\n"), "{doc}");
+            let doc = read_text(&mut reader).expect("metrics frame");
+            let Ok(Response::Metrics(json)) = crate::proto::decode_response(&doc) else {
+                panic!("expected metrics response: {doc}");
+            };
+            assert_eq!(
+                json_u64(&json, "counters", "evictions").unwrap_or(0),
+                store.evictions(),
+                "request {i}: metrics read the previous batch's evictions"
+            );
+        }
+        assert!(store.evictions() > 0, "the bound never fired");
+        let mut client = Client::connect(&socket).expect("connects");
+        client.shutdown().expect("acknowledged");
+        handle.join().expect("run returns");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn server_stats_view_agrees_with_the_metrics_registry() {
+        let socket = socket_path("server-view");
+        let mut options = ServerOptions::new(&socket);
+        options.max_bytes = Some(20_000);
+        options.parse_bytes = Some(8_000);
+        let server = Server::new(&options).expect("binds");
+        let handle = thread::spawn(move || server.run().expect("serves"));
+
+        // `have` + uploads, a warm replay, a fresh connection that
+        // negotiates and uploads nothing, then enough new cells to evict
+        let mut a = Client::connect(&socket).expect("connects");
+        a.run_sweep(&spec_of(0..3)).expect("cold");
+        a.run_sweep(&spec_of(0..3)).expect("warm");
+        let mut b = Client::connect(&socket).expect("connects");
+        b.run_sweep(&spec_of(0..3)).expect("fresh warm");
+        b.run_sweep(&spec_of(3..12)).expect("evicting");
+
+        let stats = b.server_stats().expect("stats");
+        let json = b.server_metrics().expect("metrics");
+        assert!(stats.evictions > 0 && stats.parse_evictions > 0 && stats.jobs_cached > 0);
+        // between the two reads the stats response went out and the
+        // metrics request came in; nothing else moved
+        let stats_tx = encode_response(&Response::Stats(stats.clone())).len() as u64;
+        let metrics_rx = crate::proto::encode_request(&Request::Metrics)
+            .expect("encodes")
+            .len() as u64;
+        let mut view = stats.clone();
+        for (name, source, field) in STATS_FIELDS {
+            let from_registry = match source {
+                StatSource::Counter => json_u64(&json, "counters", name),
+                StatSource::Gauge => json_u64(&json, "gauges", name),
+                StatSource::HistSum => json_u64(&json, name, "sum"),
+                StatSource::Live => continue,
+            };
+            let expected = *field(&mut view)
+                + match name {
+                    "bytes_rx" => metrics_rx,
+                    "bytes_tx" => stats_tx,
+                    _ => 0,
+                };
+            assert_eq!(from_registry.unwrap_or(0), expected, "field `{name}`");
+        }
         b.shutdown().expect("acknowledged");
         handle.join().expect("run returns");
     }

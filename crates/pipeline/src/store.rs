@@ -420,7 +420,6 @@ pub struct ArtifactStore {
     /// between is stamped with the same value.
     epoch: AtomicU64,
     evictions: AtomicU64,
-    parse_evictions: AtomicU64,
 }
 
 impl fmt::Debug for ArtifactStore {
@@ -476,7 +475,6 @@ impl ArtifactStore {
             parse_max_bytes: config.parse_bytes,
             epoch: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            parse_evictions: AtomicU64::new(0),
         })
     }
 
@@ -556,12 +554,11 @@ impl ArtifactStore {
     /// resident set and its stamps, so the post-eviction store digest is
     /// reproducible. Evicted entries also lose their `.vcart` file (a
     /// later request recompiles, and the determinism gates prove it
-    /// recompiles to the identical digest). Returns the number evicted;
-    /// a no-op without a configured bound.
-    pub fn enforce_bounds(&self) -> u64 {
-        let evicted = self.enforce_artifact_bounds();
-        self.enforce_parse_bounds();
-        evicted
+    /// recompiles to the identical digest). The parse cache is bounded
+    /// the same way. Returns the numbers of artifacts and parsed units
+    /// evicted; each bound is a no-op when not configured.
+    pub fn enforce_bounds(&self) -> (u64, u64) {
+        (self.enforce_artifact_bounds(), self.enforce_parse_bounds())
     }
 
     fn enforce_artifact_bounds(&self) -> u64 {
@@ -615,7 +612,6 @@ impl ArtifactStore {
                 evicted += 1;
             }
         }
-        self.parse_evictions.fetch_add(evicted, Ordering::Relaxed);
         evicted
     }
 
@@ -693,12 +689,6 @@ impl ArtifactStore {
             .iter()
             .map(|s| s.lock().expect("parse lock").bytes)
             .sum()
-    }
-
-    /// Parse-cache entries evicted over the store's lifetime.
-    #[must_use]
-    pub fn parse_evictions(&self) -> u64 {
-        self.parse_evictions.load(Ordering::Relaxed)
     }
 
     fn shard_of(&self, key: Digest) -> &Mutex<ShardMap> {
@@ -1323,7 +1313,7 @@ mod tests {
             for &i in order.iter().filter(|&&i| i >= 3) {
                 store.insert(artifacts[i].clone()).expect("inserts");
             }
-            let evicted = store.enforce_bounds();
+            let (evicted, _) = store.enforce_bounds();
             assert!(evicted > 0, "bound at half the total must evict");
             assert_eq!(store.evictions(), evicted);
             assert!(store.len_bytes() <= bound);
@@ -1350,7 +1340,7 @@ mod tests {
         store.insert(old.clone()).expect("inserts");
         store.advance_epoch();
         store.insert(fresh.clone()).expect("inserts");
-        assert_eq!(store.enforce_bounds(), 1);
+        assert_eq!(store.enforce_bounds(), (1, 0));
         let config = MachineConfig::mpc755();
         // the older batch's entry is gone — memory *and* disk
         assert!(store.lookup(old.key, &config).is_none());
@@ -1522,8 +1512,7 @@ mod tests {
         store.advance_epoch();
         assert!(store.parse_contains(units[2].0));
         assert!(store.parse_lookup(units[3].0).is_some());
-        store.enforce_bounds();
-        assert_eq!(store.parse_evictions(), 2);
+        assert_eq!(store.enforce_bounds(), (0, 2));
         assert!(store.parse_lookup(units[0].0).is_none());
         assert!(store.parse_lookup(units[1].0).is_none());
         assert!(store.parse_lookup(units[2].0).is_some());

@@ -37,7 +37,9 @@ fn random_fleet_pretty_parse_identity() {
 #[test]
 fn large_integral_double_literals_pretty_parse_identity() {
     // integral doubles at or above 1e15 in magnitude print in exponent
-    // form; a bare digit string would lex back as an (out-of-range) int
+    // form; a bare digit string would lex back as an (out-of-range) int.
+    // Global initializers do so from 2^63 up: smaller integral ones keep
+    // their digit string, so no existing canonical text moves
     use vericomp::minic::ast::{Expr, Function, Global, GlobalDef, Program, Stmt};
     let literals = [
         1e15,
@@ -47,11 +49,26 @@ fn large_integral_double_literals_pretty_parse_identity() {
         9_007_199_254_740_992.0, // 2^53
         -1e300,
     ];
+    let global = |name: &str, def| Global {
+        name: name.into(),
+        def,
+    };
     let p1 = Program {
-        globals: vec![Global {
-            name: "y".into(),
-            def: GlobalDef::ScalarF64(None),
-        }],
+        globals: vec![
+            global("y", GlobalDef::ScalarF64(None)),
+            global("g", GlobalDef::ScalarF64(Some(1e20))),
+            global(
+                "h",
+                GlobalDef::ArrayF64(vec![
+                    9_223_372_036_854_775_808.0, // 2^63
+                    -9_223_372_036_854_775_808.0,
+                    -1e300,
+                    4_611_686_018_427_387_904.0, // 2^62
+                    0.5,
+                    -3.0,
+                ]),
+            ),
+        ],
         functions: vec![Function {
             name: "step".into(),
             params: vec![],
@@ -66,6 +83,9 @@ fn large_integral_double_literals_pretty_parse_identity() {
     let text = pretty::program_to_c(&p1);
     assert!(text.contains("y = 1e20;"), "{text}");
     assert!(text.contains("y = -1e300;"), "{text}");
+    assert!(text.contains("double g = 1e20;"), "{text}");
+    let h = "{9.223372036854776e18, -9.223372036854776e18, -1e300, 4611686018427388000, 0.5, -3}";
+    assert!(text.contains(h), "{text}");
     let p2 = parse::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
     assert_eq!(p1, p2, "large literals do not round-trip:\n{text}");
     typeck::check(&p2).expect("typechecks");
