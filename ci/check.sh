@@ -2,7 +2,7 @@
 # The full offline gate. No network, no external crates: everything the
 # checks need ships in the workspace (see crates/testkit).
 #
-#   ci/check.sh            # fmt + doc links + build + tests + 1k-case fuzz smoke
+#   ci/check.sh            # fmt + clippy + doc links + build + tests + 1k-case fuzz smoke
 #
 # The fuzz seed is fixed so the smoke run is reproducible; the full
 # acceptance run is `--cases 10000 --seed 0xCC2011` (see README).
@@ -12,6 +12,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
+
+echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # module docs link to items by name: deleting or renaming an item must
 # not leave a dangling intra-doc link behind

@@ -141,20 +141,24 @@ impl<'s> Lexer<'s> {
                 b'0'..=b'9' => self.number(false)?,
                 b'"' => {
                     self.bump();
-                    let mut s = String::new();
+                    // bytes, decoded once the literal is complete: the
+                    // source is a `str` and every delimiter is ASCII, so
+                    // they are whole UTF-8 characters
+                    let mut s = Vec::new();
                     loop {
                         match self.bump() {
                             Some(b'"') => break,
                             Some(b'\\') => match self.bump() {
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                Some(b'n') => s.push('\n'),
+                                Some(b'"') => s.push(b'"'),
+                                Some(b'\\') => s.push(b'\\'),
+                                Some(b'n') => s.push(b'\n'),
                                 _ => return Err(self.error("bad escape")),
                             },
-                            Some(c) => s.push(c as char),
+                            Some(c) => s.push(c),
                             None => return Err(self.error("unterminated string")),
                         }
                     }
+                    let s = String::from_utf8(s).expect("literal bytes of a str are UTF-8");
                     Tok::Str(s)
                 }
                 _ => {

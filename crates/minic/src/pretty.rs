@@ -151,7 +151,8 @@ fn stmt(s: &Stmt, indent: usize, out: &mut String) {
             out.push_str(";\n");
         }
         Stmt::Annot(f, args) => {
-            let _ = write!(out, "{pad}__builtin_annotation({f:?}");
+            let _ = write!(out, "{pad}__builtin_annotation(");
+            string_lit(f, out);
             for a in args {
                 out.push_str(", ");
                 expr(a, out);
@@ -174,6 +175,22 @@ fn stmt(s: &Stmt, indent: usize, out: &mut String) {
             out.push_str(");\n");
         }
     }
+}
+
+/// A string literal escaping exactly `"`, `\` and newline — the three
+/// escapes the lexer reads — so every string prints as text that parses
+/// back to it.
+fn string_lit(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// A global `double` initializer as text. Integral values of magnitude

@@ -16,10 +16,8 @@
 //!   *contents* encode timings and are excluded; the total observation
 //!   *count* per histogram is work, and is hashed.
 //!
-//! Rendering is deterministic (sorted [`BTreeMap`] order) in both the
-//! greppable `metrics:` text table and the single-line JSON object; the
-//! counter-digest footer is always the last `metrics:` line, mirroring
-//! `Profile::render`.
+//! Rendering the single-line JSON object is deterministic (sorted
+//! [`BTreeMap`] order).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -257,33 +255,6 @@ impl Registry {
         h.finish()
     }
 
-    /// The aligned text table, one `metrics:`-prefixed line per entry
-    /// (counters, then gauges, then histograms with p50/p90/p99), the
-    /// counter-digest footer always last — greppable like the
-    /// `profile:` and `server:` lines.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in self.counters.lock().expect("metrics lock").iter() {
-            let _ = writeln!(out, "metrics: counter {name:<28} {v:>12}");
-        }
-        for (name, v) in self.gauges.lock().expect("metrics lock").iter() {
-            let _ = writeln!(out, "metrics: gauge   {name:<28} {v:>12}");
-        }
-        for (name, hist) in self.histograms.lock().expect("metrics lock").iter() {
-            let _ = writeln!(
-                out,
-                "metrics: hist    {name:<28} {:>12} obs p50 {} p90 {} p99 {}",
-                hist.count(),
-                hist.quantile(0.50).unwrap_or(0),
-                hist.quantile(0.90).unwrap_or(0),
-                hist.quantile(0.99).unwrap_or(0),
-            );
-        }
-        let _ = writeln!(out, "metrics: counter digest: {}", self.counter_digest());
-        out
-    }
-
     /// Single-line JSON object: `counters`, `gauges`, `histograms`
     /// (count, sum, p50/p90/p99 and the non-empty `[upper, count]`
     /// buckets), and the counter digest — the schema `vericomp_serve
@@ -418,18 +389,6 @@ mod tests {
         assert_eq!(a.counter_digest(), b.counter_digest());
         b.incr("requests", 1); // counts do matter
         assert_ne!(a.counter_digest(), b.counter_digest());
-    }
-
-    #[test]
-    fn render_ends_with_digest_footer() {
-        let r = Registry::new();
-        r.incr("requests", 2);
-        r.observe("lat", 42);
-        let text = r.render();
-        let last = text.lines().last().unwrap();
-        assert!(last.starts_with("metrics: counter digest: "), "{last}");
-        assert!(text.contains("metrics: counter requests"));
-        assert!(text.contains("metrics: hist    lat"));
     }
 
     #[test]

@@ -844,7 +844,7 @@ impl SweepResponse {
             configs: result.config_labels().to_vec(),
             machines: result.machine_labels().to_vec(),
             cells,
-            stats: result.stats.clone(),
+            stats: result.stats,
             spans: Vec::new(),
             digest,
         }
@@ -1508,7 +1508,7 @@ mod tests {
             assert_eq!(machine_from_fields(&text).expect("parses"), m);
         }
         assert!(machine_from_fields("1 2 3").is_err());
-        assert!(machine_from_fields(&"x ".repeat(24).trim_end()).is_err());
+        assert!(machine_from_fields("x ".repeat(24).trim_end()).is_err());
     }
 
     #[test]

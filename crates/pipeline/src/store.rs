@@ -29,7 +29,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use vericomp_arch::program::{
     AnnotationEntry, ArgLoc, DataValue, ElemTy, FuncSym, GlobalSym, Program,
@@ -370,10 +370,10 @@ impl Default for StoreConfig {
     }
 }
 
-/// One resident artifact plus its accounting metadata.
-struct Entry {
-    artifact: Arc<Artifact>,
-    /// Size in the `.vcart` encoding ([`Artifact::encoded_len`]).
+/// One resident value plus its accounting metadata.
+struct Slot<V> {
+    value: V,
+    /// Accounted size in bytes.
     bytes: u64,
     /// Epoch stamp of the last touch (lookup hit or insert). All touches
     /// within one batch carry the same stamp, so eviction order is
@@ -381,26 +381,114 @@ struct Entry {
     stamp: u64,
 }
 
-#[derive(Default)]
-struct ShardMap {
-    entries: BTreeMap<u128, Entry>,
+struct Shard<V> {
+    slots: BTreeMap<u128, Slot<V>>,
     bytes: u64,
 }
 
-/// One resident parse-cache entry plus its accounting metadata. Same
-/// stamp discipline as artifact [`Entry`]s — the parse cache shares the
-/// store's batch epoch, so its eviction order is deterministic too.
-struct ParseEntry {
-    unit: ParsedUnit,
-    /// Accounted size: the canonical text length.
-    bytes: u64,
-    stamp: u64,
+/// The store's one bounded-cache policy: a digest-keyed map split into
+/// shards by the key's top byte, with exact per-shard byte totals and
+/// deterministic eviction. The artifact map and the parse cache are two
+/// instances of it, stamped by the store's one batch epoch.
+struct Bounded<V> {
+    shards: Vec<Mutex<Shard<V>>>,
+    /// Total resident-byte bound across all shards (`None` = unbounded).
+    max_bytes: Option<u64>,
 }
 
-#[derive(Default)]
-struct ParseShard {
-    entries: BTreeMap<u128, ParseEntry>,
-    bytes: u64,
+impl<V: Clone> Bounded<V> {
+    fn new(shards: usize, max_bytes: Option<u64>) -> Bounded<V> {
+        Bounded {
+            shards: (0..shards)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        slots: BTreeMap::new(),
+                        bytes: 0,
+                    })
+                })
+                .collect(),
+            max_bytes,
+        }
+    }
+
+    fn shard(&self, key: Digest) -> MutexGuard<'_, Shard<V>> {
+        let idx = ((key.0 >> 120) as usize) % self.shards.len();
+        self.shards[idx].lock().expect("store lock")
+    }
+
+    /// The value under `key`, stamping it with `epoch` on a hit.
+    fn get(&self, key: Digest, epoch: u64) -> Option<V> {
+        self.shard(key).slots.get_mut(&key.0).map(|slot| {
+            slot.stamp = epoch;
+            slot.value.clone()
+        })
+    }
+
+    /// Inserts or replaces `key`; a replaced entry's bytes leave the total.
+    fn insert(&self, key: Digest, value: V, bytes: u64, epoch: u64) {
+        let mut shard = self.shard(key);
+        let slot = Slot {
+            value,
+            bytes,
+            stamp: epoch,
+        };
+        if let Some(old) = shard.slots.insert(key.0, slot) {
+            shard.bytes -= old.bytes;
+        }
+        shard.bytes += bytes;
+    }
+
+    fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("store lock").slots.len())
+            .sum()
+    }
+
+    fn bytes(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("store lock").bytes)
+            .sum()
+    }
+
+    fn keys(&self) -> Vec<u128> {
+        let mut keys = Vec::new();
+        for shard in &self.shards {
+            keys.extend(shard.lock().expect("store lock").slots.keys().copied());
+        }
+        keys
+    }
+
+    /// Evicts entries until every shard fits its share of `max_bytes`
+    /// (the bound divided evenly across shards), calling `on_evict` with
+    /// each evicted key. Within a shard the order is ascending
+    /// `(stamp, key)` — least-recent batch first, key order breaking ties
+    /// — a pure function of the resident set and its stamps. Returns the
+    /// number evicted; a no-op when unbounded.
+    fn evict(&self, mut on_evict: impl FnMut(Digest)) -> u64 {
+        let Some(max_bytes) = self.max_bytes else {
+            return 0;
+        };
+        let budget = max_bytes / self.shards.len() as u64;
+        let mut evicted = 0;
+        for shard in &self.shards {
+            let mut shard = shard.lock().expect("store lock");
+            while shard.bytes > budget && !shard.slots.is_empty() {
+                let victim = shard
+                    .slots
+                    .iter()
+                    .min_by_key(|(key, slot)| (slot.stamp, **key))
+                    .map(|(key, _)| *key)
+                    .expect("non-empty shard");
+                let slot = shard.slots.remove(&victim).expect("victim resident");
+                shard.bytes -= slot.bytes;
+                on_evict(Digest(victim));
+                evicted += 1;
+            }
+        }
+        evicted
+    }
 }
 
 /// The artifact store: sharded in-memory maps, optionally backed by a
@@ -408,13 +496,13 @@ struct ParseShard {
 /// with deterministic LRU-style eviction.
 pub struct ArtifactStore {
     dir: Option<PathBuf>,
-    shards: Vec<Mutex<ShardMap>>,
-    max_bytes: Option<u64>,
+    /// Resident artifacts, accounted in `.vcart`-encoded bytes
+    /// ([`Artifact::encoded_len`]).
+    artifacts: Bounded<Arc<Artifact>>,
     /// Digest-addressed cache of validated canonical sources (the
-    /// daemon's "upload and check once per digest" store), sharded like
-    /// the artifact maps and stamped by the same epoch.
-    parse_shards: Vec<Mutex<ParseShard>>,
-    parse_max_bytes: Option<u64>,
+    /// daemon's "upload and check once per digest" store), accounted in
+    /// canonical text bytes.
+    parsed: Bounded<ParsedUnit>,
     /// Batch-granular logical clock: callers advance it once per batch
     /// (the daemon does so before every `run_sweep`), and every touch in
     /// between is stamped with the same value.
@@ -426,10 +514,10 @@ impl fmt::Debug for ArtifactStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ArtifactStore")
             .field("dir", &self.dir)
-            .field("shards", &self.shards.len())
+            .field("shards", &self.shard_count())
             .field("entries", &self.resident())
             .field("bytes", &self.len_bytes())
-            .field("max_bytes", &self.max_bytes)
+            .field("max_bytes", &self.max_bytes())
             .finish()
     }
 }
@@ -465,14 +553,8 @@ impl ArtifactStore {
         let shards = config.shards.max(1);
         Ok(ArtifactStore {
             dir: config.dir,
-            shards: (0..shards)
-                .map(|_| Mutex::new(ShardMap::default()))
-                .collect(),
-            max_bytes: config.max_bytes,
-            parse_shards: (0..shards)
-                .map(|_| Mutex::new(ParseShard::default()))
-                .collect(),
-            parse_max_bytes: config.parse_bytes,
+            artifacts: Bounded::new(shards, config.max_bytes),
+            parsed: Bounded::new(shards, config.parse_bytes),
             epoch: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         })
@@ -487,31 +569,25 @@ impl ArtifactStore {
     /// Number of shards the key space is split into.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.artifacts.shards.len()
     }
 
     /// The configured resident-byte bound, if any.
     #[must_use]
     pub fn max_bytes(&self) -> Option<u64> {
-        self.max_bytes
+        self.artifacts.max_bytes
     }
 
     /// Number of artifacts currently resident in memory.
     #[must_use]
     pub fn resident(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("store lock").entries.len())
-            .sum()
+        self.artifacts.len()
     }
 
     /// Total resident size in `.vcart`-encoded bytes.
     #[must_use]
     pub fn len_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("store lock").bytes)
-            .sum()
+        self.artifacts.bytes()
     }
 
     /// Number of entries evicted over the store's lifetime.
@@ -529,15 +605,16 @@ impl ArtifactStore {
         self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 
+    fn now(&self) -> u64 {
+        self.epoch.load(Ordering::Relaxed)
+    }
+
     /// A digest of the resident key set, independent of shard count and
     /// of the order entries were touched within any batch. Two stores
     /// that hold the same artifacts agree, whatever their layout.
     #[must_use]
     pub fn store_digest(&self) -> Digest {
-        let mut keys: Vec<u128> = Vec::with_capacity(self.resident());
-        for shard in &self.shards {
-            keys.extend(shard.lock().expect("store lock").entries.keys().copied());
-        }
+        let mut keys = self.artifacts.keys();
         keys.sort_unstable();
         let mut h = Hasher::new();
         h.u64(keys.len() as u64);
@@ -547,77 +624,22 @@ impl ArtifactStore {
         h.finish()
     }
 
-    /// Evicts entries until every shard fits its share of `max_bytes`
-    /// (total bound divided evenly across shards). Within a shard the
-    /// eviction order is ascending `(stamp, key)` — least-recent batch
-    /// first, key order breaking ties — which is a pure function of the
-    /// resident set and its stamps, so the post-eviction store digest is
-    /// reproducible. Evicted entries also lose their `.vcart` file (a
-    /// later request recompiles, and the determinism gates prove it
-    /// recompiles to the identical digest). The parse cache is bounded
-    /// the same way. Returns the numbers of artifacts and parsed units
-    /// evicted; each bound is a no-op when not configured.
+    /// Evicts least-recent entries until the artifact map fits
+    /// `max_bytes` and the parse cache fits `parse_bytes`, both under the
+    /// one policy: ascending `(stamp, key)` within each shard, so the
+    /// post-eviction store digest is reproducible. Evicted artifacts also
+    /// lose their `.vcart` file (a later request recompiles, and the
+    /// determinism gates prove it recompiles to the identical digest).
+    /// Returns the numbers of artifacts and parsed units evicted; each
+    /// bound is a no-op when not configured.
     pub fn enforce_bounds(&self) -> (u64, u64) {
-        (self.enforce_artifact_bounds(), self.enforce_parse_bounds())
-    }
-
-    fn enforce_artifact_bounds(&self) -> u64 {
-        let Some(max_bytes) = self.max_bytes else {
-            return 0;
-        };
-        let budget = max_bytes / self.shards.len() as u64;
-        let mut evicted = 0;
-        for shard in &self.shards {
-            let mut map = shard.lock().expect("store lock");
-            while map.bytes > budget && !map.entries.is_empty() {
-                let victim = map
-                    .entries
-                    .iter()
-                    .min_by_key(|(key, e)| (e.stamp, **key))
-                    .map(|(key, _)| *key)
-                    .expect("non-empty shard");
-                let entry = map.entries.remove(&victim).expect("victim resident");
-                map.bytes -= entry.bytes;
-                if let Some(path) = self.path_of(Digest(victim)) {
-                    let _ = fs::remove_file(path);
-                }
-                evicted += 1;
+        let evicted = self.artifacts.evict(|key| {
+            if let Some(path) = self.path_of(key) {
+                let _ = fs::remove_file(path);
             }
-        }
+        });
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        evicted
-    }
-
-    /// Same ascending `(stamp, key)` discipline for the parse cache.
-    /// Purely in-memory — nothing on disk to clean up — and counted
-    /// separately: [`evictions`](ArtifactStore::evictions) keeps meaning
-    /// artifact evictions only.
-    fn enforce_parse_bounds(&self) -> u64 {
-        let Some(max_bytes) = self.parse_max_bytes else {
-            return 0;
-        };
-        let budget = max_bytes / self.parse_shards.len() as u64;
-        let mut evicted = 0;
-        for shard in &self.parse_shards {
-            let mut map = shard.lock().expect("parse lock");
-            while map.bytes > budget && !map.entries.is_empty() {
-                let victim = map
-                    .entries
-                    .iter()
-                    .min_by_key(|(key, e)| (e.stamp, **key))
-                    .map(|(key, _)| *key)
-                    .expect("non-empty shard");
-                let entry = map.entries.remove(&victim).expect("victim resident");
-                map.bytes -= entry.bytes;
-                evicted += 1;
-            }
-        }
-        evicted
-    }
-
-    fn parse_shard_of(&self, digest: Digest) -> &Mutex<ParseShard> {
-        let idx = ((digest.0 >> 120) as usize) % self.parse_shards.len();
-        &self.parse_shards[idx]
+        (evicted, self.parsed.evict(|_| {}))
     }
 
     /// Looks a parsed unit up by source digest, stamping the entry with
@@ -625,12 +647,7 @@ impl ArtifactStore {
     /// active use survive eviction pressure).
     #[must_use]
     pub fn parse_lookup(&self, digest: Digest) -> Option<ParsedUnit> {
-        let mut map = self.parse_shard_of(digest).lock().expect("parse lock");
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        map.entries.get_mut(&digest.0).map(|e| {
-            e.stamp = epoch;
-            e.unit.clone()
-        })
+        self.parsed.get(digest, self.now())
     }
 
     /// Whether a source digest is resident, stamping it on a hit — the
@@ -640,15 +657,7 @@ impl ArtifactStore {
     /// re-upload path covers that).
     #[must_use]
     pub fn parse_contains(&self, digest: Digest) -> bool {
-        let mut map = self.parse_shard_of(digest).lock().expect("parse lock");
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        match map.entries.get_mut(&digest.0) {
-            Some(e) => {
-                e.stamp = epoch;
-                true
-            }
-            None => false,
-        }
+        self.parse_lookup(digest).is_some()
     }
 
     /// Inserts a parsed unit under its source digest. The caller must
@@ -658,42 +667,19 @@ impl ArtifactStore {
     pub fn parse_insert(&self, digest: Digest, unit: ParsedUnit) {
         debug_assert_eq!(digest, source_digest(&unit.canonical));
         let bytes = unit.canonical.len() as u64;
-        let mut map = self.parse_shard_of(digest).lock().expect("parse lock");
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        match map.entries.insert(
-            digest.0,
-            ParseEntry {
-                unit,
-                bytes,
-                stamp: epoch,
-            },
-        ) {
-            Some(old) => map.bytes = map.bytes - old.bytes + bytes,
-            None => map.bytes += bytes,
-        }
+        self.parsed.insert(digest, unit, bytes, self.now());
     }
 
     /// Number of parsed units currently resident.
     #[must_use]
     pub fn parse_resident(&self) -> usize {
-        self.parse_shards
-            .iter()
-            .map(|s| s.lock().expect("parse lock").entries.len())
-            .sum()
+        self.parsed.len()
     }
 
     /// Resident parse-cache size (canonical text bytes).
     #[must_use]
     pub fn parse_len_bytes(&self) -> u64 {
-        self.parse_shards
-            .iter()
-            .map(|s| s.lock().expect("parse lock").bytes)
-            .sum()
-    }
-
-    fn shard_of(&self, key: Digest) -> &Mutex<ShardMap> {
-        let idx = ((key.0 >> 120) as usize) % self.shards.len();
-        &self.shards[idx]
+        self.parsed.bytes()
     }
 
     fn path_of(&self, key: Digest) -> Option<PathBuf> {
@@ -706,13 +692,9 @@ impl ArtifactStore {
     /// parse failure is a miss. A hit refreshes the entry's epoch stamp.
     #[must_use]
     pub fn lookup(&self, key: Digest, config: &MachineConfig) -> Option<Arc<Artifact>> {
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        {
-            let mut map = self.shard_of(key).lock().expect("store lock");
-            if let Some(entry) = map.entries.get_mut(&key.0) {
-                entry.stamp = epoch;
-                return Some(Arc::clone(&entry.artifact));
-            }
+        let epoch = self.now();
+        if let Some(artifact) = self.artifacts.get(key, epoch) {
+            return Some(artifact);
         }
         let path = self.path_of(key)?;
         let text = fs::read_to_string(path).ok()?;
@@ -720,18 +702,10 @@ impl ArtifactStore {
         if artifact.key != key {
             return None;
         }
-        let bytes = text.len() as u64;
         let artifact = Arc::new(artifact);
-        let mut map = self.shard_of(key).lock().expect("store lock");
-        let entry = Entry {
-            artifact: Arc::clone(&artifact),
-            bytes,
-            stamp: epoch,
-        };
-        if let Some(old) = map.entries.insert(key.0, entry) {
-            map.bytes -= old.bytes;
-        }
-        map.bytes += bytes;
+        let bytes = text.len() as u64;
+        self.artifacts
+            .insert(key, Arc::clone(&artifact), bytes, epoch);
         Some(artifact)
     }
 
@@ -751,20 +725,9 @@ impl ArtifactStore {
         let key = artifact.key;
         let text = encode_artifact(&artifact);
         let bytes = text.len() as u64;
-        let epoch = self.epoch.load(Ordering::Relaxed);
         let artifact = Arc::new(artifact);
-        {
-            let mut map = self.shard_of(key).lock().expect("store lock");
-            let entry = Entry {
-                artifact: Arc::clone(&artifact),
-                bytes,
-                stamp: epoch,
-            };
-            if let Some(old) = map.entries.insert(key.0, entry) {
-                map.bytes -= old.bytes;
-            }
-            map.bytes += bytes;
-        }
+        self.artifacts
+            .insert(key, Arc::clone(&artifact), bytes, self.now());
         if let Some(path) = self.path_of(key) {
             // Write-then-rename keeps concurrent readers (other build
             // processes sharing the directory) away from torn files.
@@ -1298,26 +1261,42 @@ mod tests {
     fn eviction_is_deterministic_and_order_invariant() {
         let artifacts: Vec<Artifact> = (0..6).map(artifact_named).collect();
         let bound = artifacts.iter().map(Artifact::encoded_len).sum::<u64>() / 2;
+        let units: Vec<(Digest, ParsedUnit)> = (0..6).map(parsed_unit_named).collect();
+        let parse_bound = units
+            .iter()
+            .map(|(_, u)| u.canonical.len() as u64)
+            .sum::<u64>()
+            / 2;
         let build = |order: &[usize]| {
             let store = ArtifactStore::with_config(StoreConfig {
                 max_bytes: Some(bound),
+                parse_bytes: Some(parse_bound),
                 ..StoreConfig::default()
             })
             .expect("memory store");
-            // first batch: artifacts 0..3; second batch: 3..6 — the
-            // insertion order *within* a batch must not matter.
+            // first batch: artifacts and units 0..3; second batch: 3..6 —
+            // the insertion order *within* a batch must not matter.
             for &i in order.iter().filter(|&&i| i < 3) {
                 store.insert(artifacts[i].clone()).expect("inserts");
+                store.parse_insert(units[i].0, units[i].1.clone());
             }
             store.advance_epoch();
             for &i in order.iter().filter(|&&i| i >= 3) {
                 store.insert(artifacts[i].clone()).expect("inserts");
+                store.parse_insert(units[i].0, units[i].1.clone());
             }
-            let (evicted, _) = store.enforce_bounds();
+            let (evicted, parse_evicted) = store.enforce_bounds();
             assert!(evicted > 0, "bound at half the total must evict");
+            assert!(
+                parse_evicted > 0,
+                "parse bound at half the total must evict"
+            );
             assert_eq!(store.evictions(), evicted);
             assert!(store.len_bytes() <= bound);
-            store.store_digest()
+            assert!(store.parse_len_bytes() <= parse_bound);
+            let mut parsed = store.parsed.keys();
+            parsed.sort_unstable();
+            (store.store_digest(), parsed)
         };
         let a = build(&[0, 1, 2, 3, 4, 5]);
         let b = build(&[2, 0, 1, 5, 3, 4]);
@@ -1478,6 +1457,44 @@ mod tests {
         let canonical = Arc::new(vericomp_minic::pretty::program_to_c(&ast));
         let digest = source_digest(&canonical);
         (digest, ParsedUnit::new(canonical))
+    }
+
+    #[test]
+    fn bounded_breaks_ties_by_key_and_reports_each_victim() {
+        // two shards of four 10-byte entries, all stamped in one batch,
+        // and room for two per shard: within a batch only the key orders
+        // the victims
+        let map: Bounded<u32> = Bounded::new(2, Some(40));
+        let shard0 = |low: u128| Digest(low);
+        let shard1 = |low: u128| Digest(1 << 120 | low);
+        let keys = [
+            shard0(5),
+            shard1(6),
+            shard0(1),
+            shard1(2),
+            shard0(7),
+            shard1(4),
+            shard0(3),
+            shard1(0),
+        ];
+        for (i, key) in keys.iter().enumerate() {
+            map.insert(*key, i as u32, 10, 0);
+        }
+        // a later touch outranks any key
+        assert_eq!(map.get(shard0(1), 1), Some(2));
+        assert_eq!(map.bytes(), 80);
+
+        let mut seen = Vec::new();
+        assert_eq!(map.evict(|key| seen.push(key)), 4);
+        assert_eq!(seen, [shard0(3), shard0(5), shard1(0), shard1(2)]);
+        let mut left = map.keys();
+        left.sort_unstable();
+        assert_eq!(left, [1, 7, 1 << 120 | 4, 1 << 120 | 6]);
+        assert_eq!((map.len(), map.bytes()), (4, 40));
+        // an unbounded map never evicts
+        let unbounded: Bounded<u32> = Bounded::new(2, None);
+        unbounded.insert(shard0(0), 0, u64::MAX / 2, 0);
+        assert_eq!(unbounded.evict(|_| panic!("evicted")), 0);
     }
 
     #[test]

@@ -1014,9 +1014,9 @@ mod tests {
 
     #[test]
     fn ast_built_units_compile_the_callers_ast_from_a_cold_store() {
-        // the lexer reads string literals byte by byte, so an annotation
-        // whose format string is non-ASCII prints to text that parses back
-        // to a different AST; the unit must compile the AST it was given
+        // a non-finite literal prints as `inf`, which parses back as a
+        // variable, so the program's text parses to a different AST; the
+        // unit must compile the AST it was given
         use vericomp_minic::ast::{Expr, GlobalDef, Stmt};
         let node = &suite_prefix(1)[0];
         let mut program = node.to_minic();
@@ -1033,12 +1033,12 @@ mod tests {
             .find(|f| f.name == node.step_name())
             .expect("the step function")
             .body
-            .insert(0, Stmt::Annot("0 ≤ %1".into(), vec![Expr::var(observed)]));
+            .insert(0, Stmt::Assign(observed, Expr::FloatLit(f64::INFINITY)));
         let unit = SweepUnit::from_source(node.name(), program.clone(), node.step_name());
         assert_ne!(
             vericomp_minic::parse::parse(unit.canonical()).ok(),
             Some(program.clone()),
-            "the annotated program must not round-trip"
+            "the program with an infinite literal must not round-trip"
         );
         assert!(unit.derived.ast.get().is_some(), "kept the AST");
         assert_eq!(*unit.source(), program);

@@ -120,7 +120,7 @@ fn main() -> ExitCode {
     let tick = (args.cases / 20).max(1);
     let cases = args.cases;
     let progress = move |done: u64, stats: &oracle::OracleStats| {
-        if done % tick == 0 || done == cases {
+        if done.is_multiple_of(tick) || done == cases {
             println!(
                 "  {done}/{cases} cases ok ({} compilations, {} activations, {} values)",
                 stats.compilations, stats.activations, stats.values_compared

@@ -110,6 +110,9 @@ fn parse_seed(s: &str) -> Option<u64> {
     }
 }
 
+/// Maps a value to strictly simpler candidates.
+type Shrinker<T> = Rc<dyn Fn(&T) -> Vec<T>>;
+
 /// A value generator with an optional shrinker.
 ///
 /// Unlike proptest's integrated value trees, shrinking here operates on the
@@ -117,7 +120,7 @@ fn parse_seed(s: &str) -> Option<u64> {
 /// explicit AST shrinkers.
 pub struct Gen<T> {
     sample: Rc<dyn Fn(&mut Rng) -> T>,
-    shrink: Rc<dyn Fn(&T) -> Vec<T>>,
+    shrink: Shrinker<T>,
 }
 
 impl<T> Clone for Gen<T> {
@@ -636,7 +639,7 @@ mod tests {
         for i in 0..64 {
             let seed = mix(1234, i);
             let v = gens::any_u64().sample(&mut Rng::seed_from_u64(seed));
-            if v % 3 == 0 {
+            if v.is_multiple_of(3) {
                 failing = Some((seed, v));
                 break;
             }

@@ -377,7 +377,7 @@ pub fn analyze(
         if !is_innermost {
             continue;
         }
-        let (pf, pd, penalty) = loop_persistence(machine, &sites, &index_of, l);
+        let (pf, pd, penalty) = loop_persistence(machine, &sites, index_of, l);
         persistent_fetch.extend(pf);
         persistent_data.extend(pd);
         loop_fill_penalty.insert(l.header, penalty);

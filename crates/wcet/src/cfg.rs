@@ -182,7 +182,7 @@ pub fn reconstruct_with_words(
         let mut is_return = false;
         let mut a = start;
         while a < end {
-            let inst = decode_at(a).clone();
+            let inst = *decode_at(a);
             match inst.control_flow() {
                 ControlFlow::Call(t) => {
                     let callee = program

@@ -112,7 +112,7 @@ fn merge2(l: &Link, r: &Link) -> Link {
 fn join3(l: Link, key: u32, val: Interval, r: Link) -> Link {
     let pk = (prio_of(key), key);
     match (&l, &r) {
-        (Some(a), _) if (a.prio, a.key) > pk && r.as_ref().map_or(true, |b| higher(a, b)) => {
+        (Some(a), _) if (a.prio, a.key) > pk && r.as_ref().is_none_or(|b| higher(a, b)) => {
             Some(mk(
                 a.key,
                 a.val,

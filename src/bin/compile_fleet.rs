@@ -819,7 +819,7 @@ fn run_search(pipeline: &Pipeline, nodes: &[vericomp_dataflow::Node], args: &Arg
     println!("{result}");
     println!("{}", result.stats.render());
     println!("search digest: {}", result.digest());
-    if let Err(code) = export_trace(result.trace(), &args) {
+    if let Err(code) = export_trace(result.trace(), args) {
         return code;
     }
 

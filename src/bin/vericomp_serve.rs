@@ -59,6 +59,9 @@ const USAGE: &str = "usage: vericomp_serve --socket PATH [--jobs N] [--cache-dir
                     print a running daemon's flight-recorder dump and exit
   --shutdown PATH   ask a running daemon to drain and stop, then exit";
 
+// built once per process from the command line, so boxing the large
+// variant would buy nothing
+#[allow(clippy::large_enum_variant)]
 enum Mode {
     Serve(ServerOptions),
     StatsOf(String),

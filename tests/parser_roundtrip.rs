@@ -92,6 +92,48 @@ fn large_integral_double_literals_pretty_parse_identity() {
 }
 
 #[test]
+fn annotation_strings_pretty_parse_identity() {
+    // the printer escapes exactly what the lexer reads (`"`, `\`,
+    // newline) and the lexer decodes UTF-8, so control characters and
+    // non-ASCII text survive the round trip
+    use vericomp::minic::ast::{Expr, Function, Program, Stmt};
+    let strings = [
+        "tab\there",
+        "cr\rhere",
+        "quote\"here",
+        "back\\slash",
+        "new\nline",
+        "caf\u{e9} %1",
+        "a \u{2192} b",
+        "all\t\r\"\\\n\u{e9}\u{2192}",
+    ];
+    let p1 = Program {
+        globals: vec![],
+        functions: vec![Function {
+            name: "step".into(),
+            params: vec![],
+            ret: None,
+            locals: vec![],
+            body: strings
+                .iter()
+                .map(|s| Stmt::Annot((*s).into(), vec![Expr::IntLit(1)]))
+                .collect(),
+        }],
+    };
+    let text = pretty::program_to_c(&p1);
+    let p2 = parse::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    assert_eq!(p1, p2, "annotation strings do not round-trip:\n{text}");
+    // strings whose printed text already parsed print unchanged, so no
+    // canonical text or source digest moves
+    for s in &strings[2..7] {
+        assert!(
+            text.contains(&format!("__builtin_annotation({s:?}, 1);")),
+            "{text}"
+        );
+    }
+}
+
+#[test]
 fn hand_written_source_compiles_and_runs() {
     // The full path from C text: parse → typecheck → compile → simulate.
     let src = r#"

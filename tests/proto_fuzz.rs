@@ -117,10 +117,10 @@ fn hostile_bytes(seeds: &[Vec<u8>], which: u8, mutation: u8, a: u64, b: u64) -> 
         }
         // corrupt the first blob length, or claim an oversized one
         2 => {
-            if let Some(text) = std::str::from_utf8(doc).ok() {
+            if let Ok(text) = std::str::from_utf8(doc) {
                 if let Some(start) = text.find("blob ") {
                     let line_end = text[start..].find('\n').map_or(text.len(), |e| start + e);
-                    let claimed = if a % 2 == 0 {
+                    let claimed = if a.is_multiple_of(2) {
                         (1u64 << 30) + 1 + (b % 1024) // over MAX_BLOB_BYTES
                     } else {
                         b % 100_000 // plain length mismatch
