@@ -30,6 +30,14 @@ cargo build --workspace --release --offline
 echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# a short cold release build through the benchmark: its correctness
+# oracles (interpreter vs simulator, WCET bound >= simulated cycles,
+# repeatable digests) gate every compiler change; perfbench exits
+# nonzero when any of them fails
+echo "==> perfbench smoke: release_cold, 2 s"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload release_cold --seed 0 --seconds 2 --trace 0
+
 echo "==> cargo test --workspace -q --offline"
 cargo test --workspace -q --offline
 

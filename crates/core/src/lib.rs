@@ -39,6 +39,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod emit;
+#[cfg(test)]
+mod equivalence;
 pub mod layout;
 pub mod link;
 pub mod liveness;

@@ -16,7 +16,7 @@ use std::fmt;
 
 use vericomp_arch::reg::{Fpr, Gpr};
 
-use crate::liveness;
+use crate::liveness::{self, VregSet};
 use crate::rtl::{Addr, Func, Inst, RegClass, Vreg};
 use crate::CompileError;
 
@@ -84,22 +84,21 @@ impl Palette {
         }
     }
 
-    fn colors(&self, class: RegClass, across_call: bool) -> Vec<PReg> {
-        match (class, across_call) {
-            (RegClass::I, false) => self
-                .volatile_i
-                .iter()
-                .chain(&self.saved_i)
-                .map(|&r| PReg::G(r))
-                .collect(),
-            (RegClass::I, true) => self.saved_i.iter().map(|&r| PReg::G(r)).collect(),
-            (RegClass::F, false) => self
-                .volatile_f
-                .iter()
-                .chain(&self.saved_f)
-                .map(|&r| PReg::F(r))
-                .collect(),
-            (RegClass::F, true) => self.saved_f.iter().map(|&r| PReg::F(r)).collect(),
+    /// The candidate registers of each (class, lives-across-a-call)
+    /// kind, in preference order: volatile first, then callee-saved; a
+    /// value live across a call gets only callee-saved ones.
+    fn color_lists(&self) -> ColorLists {
+        let g = |rs: &[Gpr]| rs.iter().map(|&r| PReg::G(r)).collect::<Vec<_>>();
+        let f = |rs: &[Fpr]| rs.iter().map(|&r| PReg::F(r)).collect::<Vec<_>>();
+        ColorLists {
+            i: [
+                [g(&self.volatile_i), g(&self.saved_i)].concat(),
+                g(&self.saved_i),
+            ],
+            f: [
+                [f(&self.volatile_f), f(&self.saved_f)].concat(),
+                f(&self.saved_f),
+            ],
         }
     }
 
@@ -107,6 +106,22 @@ impl Palette {
         match class {
             RegClass::I => self.volatile_i.len() + self.saved_i.len(),
             RegClass::F => self.volatile_f.len() + self.saved_f.len(),
+        }
+    }
+}
+
+/// [`Palette`]'s candidate lists, built once per coloring: indexed by
+/// whether the value lives across a call.
+struct ColorLists {
+    i: [Vec<PReg>; 2],
+    f: [Vec<PReg>; 2],
+}
+
+impl ColorLists {
+    fn get(&self, class: RegClass, across_call: bool) -> &[PReg] {
+        match class {
+            RegClass::I => &self.i[usize::from(across_call)],
+            RegClass::F => &self.f[usize::from(across_call)],
         }
     }
 }
@@ -130,29 +145,31 @@ impl Allocation {
     }
 }
 
-/// Interference information, exposed so the validator can rebuild and check
-/// it independently.
+/// The interference graph the allocator colors. The allocation
+/// validator never reads it: it recomputes liveness from the post-spill
+/// RTL and checks the assignment directly.
 #[derive(Debug, Clone, Default)]
 pub struct Interference {
-    /// Adjacency sets.
-    pub edges: BTreeMap<Vreg, BTreeSet<Vreg>>,
+    /// Adjacency sets, indexed by vreg (symmetric: `b` is in `a`'s set
+    /// exactly when `a` is in `b`'s).
+    pub edges: Vec<VregSet>,
     /// Virtual registers that are live across at least one call.
-    pub across_call: BTreeSet<Vreg>,
+    pub across_call: VregSet,
     /// Every virtual register that occurs in the function.
-    pub occurring: BTreeSet<Vreg>,
+    pub occurring: VregSet,
 }
 
 impl Interference {
     fn add_edge(&mut self, a: Vreg, b: Vreg) {
         if a != b {
-            self.edges.entry(a).or_default().insert(b);
-            self.edges.entry(b).or_default().insert(a);
+            self.edges[a.0 as usize].insert(b);
+            self.edges[b.0 as usize].insert(a);
         }
     }
 
     /// Whether `a` and `b` interfere.
     pub fn interferes(&self, a: Vreg, b: Vreg) -> bool {
-        self.edges.get(&a).is_some_and(|s| s.contains(&b))
+        self.edges.get(a.0 as usize).is_some_and(|s| s.contains(b))
     }
 }
 
@@ -160,7 +177,12 @@ impl Interference {
 /// refinement: a move's destination does not interfere with its source).
 pub fn build_interference(f: &Func) -> Interference {
     let live = liveness::analyze(f);
-    let mut g = Interference::default();
+    let empty = VregSet::for_func(f);
+    let mut g = Interference {
+        edges: vec![empty.clone(); f.vregs.len()],
+        across_call: empty.clone(),
+        occurring: empty.clone(),
+    };
 
     for &p in &f.params {
         g.occurring.insert(p);
@@ -170,22 +192,23 @@ pub fn build_interference(f: &Func) -> Interference {
         for &b in &f.params[i + 1..] {
             g.add_edge(a, b);
         }
-        for &x in &live.live_in[f.entry.0 as usize] {
+        for x in &live.live_in[f.entry.0 as usize] {
             g.add_edge(a, x);
         }
     }
 
+    let mut live_now = empty;
     for bid in f.rpo() {
         let block = f.block(bid);
-        let mut live_now: BTreeSet<Vreg> = live.live_out[bid.0 as usize].clone();
-        for u in block.term.uses() {
+        live_now.copy_from(&live.live_out[bid.0 as usize]);
+        block.term.for_each_use(|u| {
             live_now.insert(u);
             g.occurring.insert(u);
-        }
+        });
         for inst in block.insts.iter().rev() {
             if matches!(inst, Inst::Call { .. }) {
                 let def = inst.def();
-                for &v in &live_now {
+                for v in &live_now {
                     if Some(v) != def {
                         g.across_call.insert(v);
                     }
@@ -197,17 +220,17 @@ pub fn build_interference(f: &Func) -> Interference {
                     Inst::MovI { src, .. } | Inst::MovF { src, .. } => Some(*src),
                     _ => None,
                 };
-                for &x in &live_now {
+                for x in &live_now {
                     if x != d && Some(x) != move_src {
                         g.add_edge(d, x);
                     }
                 }
-                live_now.remove(&d);
+                live_now.remove(d);
             }
-            for u in inst.uses() {
+            inst.for_each_use(|u| {
                 live_now.insert(u);
                 g.occurring.insert(u);
-            }
+            });
         }
     }
     g
@@ -242,60 +265,85 @@ fn try_color(
     palette: &Palette,
     g: &Interference,
 ) -> Result<BTreeMap<Vreg, PReg>, BTreeSet<Vreg>> {
-    let empty = BTreeSet::new();
-    let degree = |v: Vreg, removed: &BTreeSet<Vreg>| {
-        g.edges
-            .get(&v)
-            .map(|s| s.iter().filter(|x| !removed.contains(x)).count())
-            .unwrap_or(0)
-    };
+    let stack = simplify(g, |v| palette.k(f.class_of(v)));
+    select(f, &palette.color_lists(), g, stack)
+}
 
-    // Simplify: repeatedly remove a low-degree node; otherwise pick a
-    // spill candidate optimistically.
-    let mut removed: BTreeSet<Vreg> = BTreeSet::new();
-    let mut stack: Vec<Vreg> = Vec::new();
-    let mut remaining: BTreeSet<Vreg> = g.occurring.clone();
-    while !remaining.is_empty() {
-        let pick_simplifiable = remaining
-            .iter()
-            .copied()
-            .find(|&v| degree(v, &removed) < palette.k(f.class_of(v)));
-        let v = pick_simplifiable.unwrap_or_else(|| {
-            // optimistic spill candidate: maximal degree, lowest index tiebreak
-            *remaining
+/// Simplify: repeatedly removes the lowest-numbered node of degree < k;
+/// when there is none, removes an optimistic spill candidate of maximal
+/// degree, lowest index on ties. Returns the removal order.
+///
+/// Degrees are kept live (decremented as neighbours leave) and the
+/// nodes below k form an ordered set, so each step costs the removed
+/// node's degree rather than a rescan of every remaining node.
+fn simplify(g: &Interference, k: impl Fn(Vreg) -> usize) -> Vec<Vreg> {
+    let mut degree: Vec<usize> = g.edges.iter().map(VregSet::len).collect();
+    let mut remaining = g.occurring.clone();
+    let mut low = BTreeSet::new();
+    for v in &remaining {
+        if degree[v.0 as usize] < k(v) {
+            low.insert(v);
+        }
+    }
+    let mut stack = Vec::with_capacity(remaining.len());
+    for _ in 0..remaining.len() {
+        let v = low.pop_first().unwrap_or_else(|| {
+            remaining
                 .iter()
-                .max_by_key(|&&v| (degree(v, &removed), std::cmp::Reverse(v.0)))
-                .expect("remaining not empty")
+                .max_by_key(|&v| (degree[v.0 as usize], std::cmp::Reverse(v.0)))
+                .expect("a node remains for every step")
         });
-        remaining.remove(&v);
-        removed.insert(v);
+        remaining.remove(v);
+        for n in &g.edges[v.0 as usize] {
+            let d = &mut degree[n.0 as usize];
+            *d -= 1;
+            if *d + 1 == k(n) && remaining.contains(n) {
+                low.insert(n);
+            }
+        }
         stack.push(v);
     }
+    stack
+}
 
-    // Select: pop and color.
-    let mut colors: BTreeMap<Vreg, PReg> = BTreeMap::new();
+/// Select: pops `stack` and gives each node the first candidate register
+/// no already-colored neighbour holds; nodes left without one spill.
+fn select(
+    f: &Func,
+    lists: &ColorLists,
+    g: &Interference,
+    mut stack: Vec<Vreg>,
+) -> Result<BTreeMap<Vreg, PReg>, BTreeSet<Vreg>> {
+    // a PReg's bit: GPRs 0..32, FPRs 32..64
+    let bit = |p: PReg| match p {
+        PReg::G(r) => 1u64 << r.index(),
+        PReg::F(r) => 1u64 << (32 + r.index()),
+    };
+    let mut color: Vec<Option<PReg>> = vec![None; g.edges.len()];
     let mut spills: BTreeSet<Vreg> = BTreeSet::new();
     while let Some(v) = stack.pop() {
-        let neighbours = g.edges.get(&v).unwrap_or(&empty);
-        let taken: BTreeSet<PReg> = neighbours
+        let taken = g.edges[v.0 as usize]
             .iter()
-            .filter_map(|n| colors.get(n).copied())
-            .collect();
-        let choice = palette
-            .colors(f.class_of(v), g.across_call.contains(&v))
-            .into_iter()
-            .find(|c| !taken.contains(c));
+            .filter_map(|n| color[n.0 as usize])
+            .fold(0u64, |m, p| m | bit(p));
+        let choice = lists
+            .get(f.class_of(v), g.across_call.contains(v))
+            .iter()
+            .copied()
+            .find(|&c| taken & bit(c) == 0);
         match choice {
-            Some(c) => {
-                colors.insert(v, c);
-            }
+            Some(c) => color[v.0 as usize] = Some(c),
             None => {
                 spills.insert(v);
             }
         }
     }
     if spills.is_empty() {
-        Ok(colors)
+        Ok(color
+            .iter()
+            .enumerate()
+            .filter_map(|(v, c)| Some((Vreg(v as u32), (*c)?)))
+            .collect())
     } else {
         Err(spills)
     }
@@ -391,6 +439,112 @@ fn rewrite_spills(f: &mut Func, spills: &BTreeSet<Vreg>) {
     }
 }
 
+/// The quadratic simplify/select this module replaced, kept as the
+/// reference the incremental-degree coloring is checked against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use super::{Interference, PReg, Palette};
+    use crate::rtl::{Func, RegClass, Vreg};
+
+    fn candidates(palette: &Palette, class: RegClass, across_call: bool) -> Vec<PReg> {
+        match (class, across_call) {
+            (RegClass::I, false) => palette
+                .volatile_i
+                .iter()
+                .chain(&palette.saved_i)
+                .map(|&r| PReg::G(r))
+                .collect(),
+            (RegClass::I, true) => palette.saved_i.iter().map(|&r| PReg::G(r)).collect(),
+            (RegClass::F, false) => palette
+                .volatile_f
+                .iter()
+                .chain(&palette.saved_f)
+                .map(|&r| PReg::F(r))
+                .collect(),
+            (RegClass::F, true) => palette.saved_f.iter().map(|&r| PReg::F(r)).collect(),
+        }
+    }
+
+    /// The simplify order: every step recounts every remaining degree.
+    pub(crate) fn simplify(f: &Func, palette: &Palette, g: &Interference) -> Vec<Vreg> {
+        let degree = |v: Vreg, removed: &BTreeSet<Vreg>| {
+            g.edges[v.0 as usize]
+                .iter()
+                .filter(|x| !removed.contains(x))
+                .count()
+        };
+        let mut removed: BTreeSet<Vreg> = BTreeSet::new();
+        let mut stack: Vec<Vreg> = Vec::new();
+        let mut remaining: BTreeSet<Vreg> = g.occurring.iter().collect();
+        while !remaining.is_empty() {
+            let pick_simplifiable = remaining
+                .iter()
+                .copied()
+                .find(|&v| degree(v, &removed) < palette.k(f.class_of(v)));
+            let v = pick_simplifiable.unwrap_or_else(|| {
+                *remaining
+                    .iter()
+                    .max_by_key(|&&v| (degree(v, &removed), std::cmp::Reverse(v.0)))
+                    .expect("remaining not empty")
+            });
+            remaining.remove(&v);
+            removed.insert(v);
+            stack.push(v);
+        }
+        stack
+    }
+
+    /// Simplify then select, with a register list built per node.
+    pub(crate) fn try_color(
+        f: &Func,
+        palette: &Palette,
+        g: &Interference,
+    ) -> Result<BTreeMap<Vreg, PReg>, BTreeSet<Vreg>> {
+        let mut stack = simplify(f, palette, g);
+        let mut colors: BTreeMap<Vreg, PReg> = BTreeMap::new();
+        let mut spills: BTreeSet<Vreg> = BTreeSet::new();
+        while let Some(v) = stack.pop() {
+            let taken: BTreeSet<PReg> = g.edges[v.0 as usize]
+                .iter()
+                .filter_map(|n| colors.get(&n).copied())
+                .collect();
+            let choice = candidates(palette, f.class_of(v), g.across_call.contains(v))
+                .into_iter()
+                .find(|c| !taken.contains(c));
+            match choice {
+                Some(c) => {
+                    colors.insert(v, c);
+                }
+                None => {
+                    spills.insert(v);
+                }
+            }
+        }
+        if spills.is_empty() {
+            Ok(colors)
+        } else {
+            Err(spills)
+        }
+    }
+
+    /// Asserts that the incremental coloring makes the reference's picks
+    /// on `g`: the same simplify stack, the same colors, the same spills.
+    pub(crate) fn assert_agrees(f: &Func, palette: &Palette, g: &Interference, what: &str) {
+        assert_eq!(
+            super::simplify(g, |v| palette.k(f.class_of(v))),
+            simplify(f, palette, g),
+            "{what}: simplify stacks differ"
+        );
+        assert_eq!(
+            super::try_color(f, palette, g),
+            try_color(f, palette, g),
+            "{what}: colorings differ"
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,8 +599,9 @@ mod tests {
         let mut f = high_pressure(6);
         let alloc = allocate(&mut f, &Palette::full()).unwrap();
         let g = build_interference(&f);
-        for (&a, neigh) in &g.edges {
-            for &b in neigh {
+        for (a, neigh) in g.edges.iter().enumerate() {
+            let a = Vreg(a as u32);
+            for b in neigh {
                 assert_ne!(alloc.preg(a), alloc.preg(b), "{a} and {b} interfere");
             }
         }
@@ -483,8 +638,9 @@ mod tests {
         let alloc = allocate(&mut f, &Palette::full()).unwrap();
         // final graph colorable and disjoint
         let g = build_interference(&f);
-        for (&a, neigh) in &g.edges {
-            for &b in neigh {
+        for (a, neigh) in g.edges.iter().enumerate() {
+            let a = Vreg(a as u32);
+            for b in neigh {
                 assert_ne!(alloc.preg(a), alloc.preg(b));
             }
         }

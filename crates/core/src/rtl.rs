@@ -364,27 +364,42 @@ impl Inst {
 
     /// The registers this instruction reads, in order.
     pub fn uses(&self) -> Vec<Vreg> {
+        let mut out = Vec::new();
+        self.for_each_use(|v| out.push(v));
+        out
+    }
+
+    /// Calls `f` on every register this instruction reads, in the order
+    /// of [`Inst::uses`], without allocating.
+    pub fn for_each_use(&self, mut f: impl FnMut(Vreg)) {
         match self {
-            Inst::ImmI { .. } | Inst::ImmF { .. } => vec![],
-            Inst::MovI { src, .. } | Inst::MovF { src, .. } => vec![*src],
-            Inst::UnI { a, .. } | Inst::UnF { a, .. } | Inst::BinIImm { a, .. } => vec![*a],
-            Inst::BinI { a, b, .. } | Inst::BinF { a, b, .. } => vec![*a, *b],
-            Inst::MaddF { a, b, c, .. } => vec![*a, *b, *c],
-            Inst::Itof { src, .. } | Inst::Ftoi { src, .. } => vec![*src],
-            Inst::Load { addr, .. } => addr.index_vreg().into_iter().collect(),
-            Inst::Store { src, addr } => {
-                let mut v = vec![*src];
-                v.extend(addr.index_vreg());
-                v
+            Inst::ImmI { .. } | Inst::ImmF { .. } => {}
+            Inst::MovI { src, .. } | Inst::MovF { src, .. } => f(*src),
+            Inst::UnI { a, .. } | Inst::UnF { a, .. } | Inst::BinIImm { a, .. } => f(*a),
+            Inst::BinI { a, b, .. } | Inst::BinF { a, b, .. } => {
+                f(*a);
+                f(*b);
             }
-            Inst::Call { args, .. } => args.clone(),
-            Inst::Annot { args, .. } => args
-                .iter()
-                .flat_map(|a| match a {
-                    AnnotArg::Reg(v) => vec![*v],
-                    AnnotArg::Mem(addr, _) => addr.index_vreg().into_iter().collect(),
-                })
-                .collect(),
+            Inst::MaddF { a, b, c, .. } => {
+                f(*a);
+                f(*b);
+                f(*c);
+            }
+            Inst::Itof { src, .. } | Inst::Ftoi { src, .. } => f(*src),
+            Inst::Load { addr, .. } => addr.index_vreg().into_iter().for_each(f),
+            Inst::Store { src, addr } => {
+                f(*src);
+                addr.index_vreg().into_iter().for_each(f);
+            }
+            Inst::Call { args, .. } => args.iter().for_each(|&v| f(v)),
+            Inst::Annot { args, .. } => {
+                for arg in args {
+                    match arg {
+                        AnnotArg::Reg(v) => f(*v),
+                        AnnotArg::Mem(addr, _) => addr.index_vreg().into_iter().for_each(&mut f),
+                    }
+                }
+            }
         }
     }
 
@@ -564,11 +579,21 @@ impl Term {
 
     /// The registers the terminator reads.
     pub fn uses(&self) -> Vec<Vreg> {
+        let mut out = Vec::new();
+        self.for_each_use(|v| out.push(v));
+        out
+    }
+
+    /// Calls `f` on every register the terminator reads, in the order of
+    /// [`Term::uses`], without allocating.
+    pub fn for_each_use(&self, mut f: impl FnMut(Vreg)) {
         match self {
-            Term::Goto(_) => vec![],
-            Term::BrI { a, b, .. } | Term::BrF { a, b, .. } => vec![*a, *b],
-            Term::BrIImm { a, .. } => vec![*a],
-            Term::Ret(v) => v.iter().copied().collect(),
+            Term::Goto(_) | Term::Ret(None) => {}
+            Term::BrI { a, b, .. } | Term::BrF { a, b, .. } => {
+                f(*a);
+                f(*b);
+            }
+            Term::BrIImm { a, .. } | Term::Ret(Some(a)) => f(*a),
         }
     }
 

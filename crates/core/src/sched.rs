@@ -15,7 +15,7 @@
 use vericomp_arch::inst::Inst as M;
 use vericomp_arch::MachineConfig;
 
-use crate::validate::depends;
+use crate::validate::Footprint;
 
 /// Produces a dependence-preserving reordering of `insts` that greedily
 /// minimizes latency stalls.
@@ -25,11 +25,12 @@ pub fn schedule_block(insts: &[M], cfg: &MachineConfig) -> Vec<M> {
         return insts.to_vec();
     }
     // successor lists and predecessor counts
+    let footprints: Vec<Footprint> = insts.iter().map(Footprint::of).collect();
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut preds_left = vec![0usize; n];
     for i in 0..n {
         for j in i + 1..n {
-            if depends(&insts[i], &insts[j]) {
+            if footprints[i].depends(&footprints[j]) {
                 succs[i].push(j);
                 preds_left[j] += 1;
             }

@@ -26,7 +26,7 @@ use std::fmt;
 
 use vericomp_arch::inst::{Inst as MInst, Reg};
 
-use crate::liveness;
+use crate::liveness::{self, VregSet};
 use crate::regalloc::{Allocation, PReg};
 use crate::rtl::{Func, Inst, Term, Vreg};
 
@@ -147,24 +147,36 @@ pub fn check_allocation(f: &Func, alloc: &Allocation) -> Result<(), ValidationEr
     let live = liveness::analyze(f);
 
     // Totality, class and reservation checks.
-    let mut occurring: BTreeSet<Vreg> = f.params.iter().copied().collect();
+    let mut occurring = VregSet::for_func(f);
+    for &p in &f.params {
+        occurring.insert(p);
+    }
     for b in f.rpo() {
         let block = f.block(b);
         for inst in &block.insts {
-            occurring.extend(inst.uses());
-            occurring.extend(inst.def());
+            inst.for_each_use(|u| occurring.insert(u));
+            if let Some(d) = inst.def() {
+                occurring.insert(d);
+            }
         }
-        occurring.extend(block.term.uses());
+        block.term.for_each_use(|u| occurring.insert(u));
     }
-    for &v in &occurring {
-        match alloc.map.get(&v) {
+    // dense vreg → preg view of the assignment
+    let mut preg: Vec<Option<PReg>> = vec![None; f.vregs.len()];
+    for (&v, &p) in &alloc.map {
+        if let Some(slot) = preg.get_mut(v.0 as usize) {
+            *slot = Some(p);
+        }
+    }
+    for v in &occurring {
+        match preg[v.0 as usize] {
             None => {
                 return Err(ValidationError::AllocMissing {
                     func: f.name.clone(),
                     vreg: v,
                 })
             }
-            Some(&p) => {
+            Some(p) => {
                 if p.class() != f.class_of(v) {
                     return Err(ValidationError::AllocMissing {
                         func: f.name.clone(),
@@ -180,39 +192,42 @@ pub fn check_allocation(f: &Func, alloc: &Allocation) -> Result<(), ValidationEr
             }
         }
     }
+    // every vreg below is occurring, hence assigned
+    let preg = |v: Vreg| preg[v.0 as usize].expect("checked above");
 
     let conflict = |d: Vreg, x: Vreg| ValidationError::AllocConflict {
         func: f.name.clone(),
         a: d,
         b: x,
-        preg: alloc.preg(d).to_string(),
+        preg: preg(d).to_string(),
     };
 
     // Entry: parameters are defined simultaneously; they must be mutually
     // disjoint and disjoint from anything live at entry.
     for (i, &a) in f.params.iter().enumerate() {
         for &b in f.params.iter().skip(i + 1) {
-            if alloc.preg(a) == alloc.preg(b) {
+            if preg(a) == preg(b) {
                 return Err(conflict(a, b));
             }
         }
-        for &x in &live.live_in[f.entry.0 as usize] {
-            if x != a && alloc.preg(a) == alloc.preg(x) {
+        for x in &live.live_in[f.entry.0 as usize] {
+            if x != a && preg(a) == preg(x) {
                 return Err(conflict(a, x));
             }
         }
     }
 
     // Per-definition-point disjointness.
+    let mut live_now = VregSet::for_func(f);
     for b in f.rpo() {
         let block = f.block(b);
-        let mut live_now: BTreeSet<Vreg> = live.live_out[b.0 as usize].clone();
-        live_now.extend(block.term.uses());
+        live_now.copy_from(&live.live_out[b.0 as usize]);
+        block.term.for_each_use(|u| live_now.insert(u));
         for inst in block.insts.iter().rev() {
             if matches!(inst, Inst::Call { .. }) {
                 let def = inst.def();
-                for &v in &live_now {
-                    if Some(v) != def && !callee_saved(alloc.preg(v)) {
+                for v in &live_now {
+                    if Some(v) != def && !callee_saved(preg(v)) {
                         return Err(ValidationError::AllocCallClobber {
                             func: f.name.clone(),
                             vreg: v,
@@ -225,14 +240,15 @@ pub fn check_allocation(f: &Func, alloc: &Allocation) -> Result<(), ValidationEr
                     Inst::MovI { src, .. } | Inst::MovF { src, .. } => Some(*src),
                     _ => None,
                 };
-                for &x in &live_now {
-                    if x != d && Some(x) != move_src && alloc.preg(d) == alloc.preg(x) {
+                let pd = preg(d);
+                for x in &live_now {
+                    if x != d && Some(x) != move_src && pd == preg(x) {
                         return Err(conflict(d, x));
                     }
                 }
-                live_now.remove(&d);
+                live_now.remove(d);
             }
-            live_now.extend(inst.uses());
+            inst.for_each_use(|u| live_now.insert(u));
         }
     }
     Ok(())
@@ -377,29 +393,55 @@ pub fn check_tunnel(before: &Func, after: &Func) -> Result<(), ValidationError> 
     Ok(())
 }
 
-/// Dependence test between two machine instructions at original positions
-/// `i < j`.
-/// Dependence test used by both the scheduler and its validator.
-pub(crate) fn depends(a: &MInst, b: &MInst) -> bool {
-    let barrier = |i: &MInst| matches!(i, MInst::Bl { .. } | MInst::Annot { .. });
-    if barrier(a) || barrier(b) {
-        return true;
+/// What an instruction touches, as far as reordering is concerned: the
+/// one dependence definition shared by the scheduler and its validator.
+/// Computed once per instruction, so a dependence test is a few mask
+/// operations instead of building register sets for every pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Footprint {
+    /// Calls and annotation markers: ordered against everything.
+    barrier: bool,
+    /// Registers written, one bit per [`Reg`] (see [`reg_bit`]).
+    defs: u128,
+    /// Registers read.
+    uses: u128,
+    /// The memory access, if any: `Some(true)` for a load.
+    load: Option<bool>,
+}
+
+/// A register's bit: GPRs 0..32, FPRs 32..64, CR fields 64..72, LR 72.
+fn reg_bit(r: Reg) -> u128 {
+    1 << match r {
+        Reg::G(g) => u32::from(g.index()),
+        Reg::F(f) => 32 + u32::from(f.index()),
+        Reg::C(c) => 64 + u32::from(c.index()),
+        Reg::Lr => 72,
     }
-    let defs_a: BTreeSet<Reg> = a.defs().into_iter().collect();
-    let uses_a: BTreeSet<Reg> = a.uses().into_iter().collect();
-    let defs_b: BTreeSet<Reg> = b.defs().into_iter().collect();
-    let uses_b: BTreeSet<Reg> = b.uses().into_iter().collect();
-    // RAW / WAR / WAW
-    if defs_a.intersection(&uses_b).next().is_some()
-        || uses_a.intersection(&defs_b).next().is_some()
-        || defs_a.intersection(&defs_b).next().is_some()
-    {
-        return true;
+}
+
+impl Footprint {
+    /// The footprint of `i`.
+    pub(crate) fn of(i: &MInst) -> Footprint {
+        let (uses, n) = i.uses_array();
+        Footprint {
+            barrier: matches!(i, MInst::Bl { .. } | MInst::Annot { .. }),
+            defs: i.def().map_or(0, reg_bit),
+            uses: uses[..usize::from(n)]
+                .iter()
+                .fold(0, |m, &r| m | reg_bit(r)),
+            load: i.mem_access().map(|m| m.is_load()),
+        }
     }
-    // memory ordering: conservative — loads commute, everything else doesn't
-    match (a.mem_access(), b.mem_access()) {
-        (Some(ma), Some(mb)) => !(ma.is_load() && mb.is_load()),
-        _ => false,
+
+    /// Whether `later` must stay after `self` (its original predecessor):
+    /// either is a barrier; a register RAW, WAR or WAW (CR fields and LR
+    /// included); or two memory accesses that are not both loads.
+    pub(crate) fn depends(&self, later: &Footprint) -> bool {
+        self.barrier
+            || later.barrier
+            || self.defs & (later.uses | later.defs) != 0
+            || self.uses & later.defs != 0
+            || matches!((self.load, later.load), (Some(a), Some(b)) if !(a && b))
     }
 }
 
@@ -414,8 +456,8 @@ pub fn check_schedule(original: &[MInst], scheduled: &[MInst]) -> Result<(), Val
     if original.len() != scheduled.len() {
         return Err(ValidationError::ScheduleNotPermutation);
     }
+    let footprints: Vec<Footprint> = original.iter().map(Footprint::of).collect();
     let mut matched = vec![false; original.len()];
-    let mut placed: Vec<usize> = Vec::with_capacity(original.len());
     for (si, s) in scheduled.iter().enumerate() {
         // earliest unmatched original occurrence of this instruction
         let oi = original
@@ -425,14 +467,62 @@ pub fn check_schedule(original: &[MInst], scheduled: &[MInst]) -> Result<(), Val
             .ok_or(ValidationError::ScheduleNotPermutation)?;
         // all original predecessors with a dependence must already be placed
         for k in 0..oi {
-            if !matched[k] && depends(&original[k], &original[oi]) {
+            if !matched[k] && footprints[k].depends(&footprints[oi]) {
                 return Err(ValidationError::ScheduleDependence { at: si });
             }
         }
         matched[oi] = true;
-        placed.push(oi);
     }
     Ok(())
+}
+
+/// The set-based dependence test [`Footprint`] replaced, kept as the
+/// reference it is checked against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::collections::BTreeSet;
+
+    use vericomp_arch::inst::{Inst as MInst, Reg};
+
+    /// Dependence test between two machine instructions at original
+    /// positions `i < j`.
+    pub(crate) fn depends(a: &MInst, b: &MInst) -> bool {
+        let barrier = |i: &MInst| matches!(i, MInst::Bl { .. } | MInst::Annot { .. });
+        if barrier(a) || barrier(b) {
+            return true;
+        }
+        let defs_a: BTreeSet<Reg> = a.defs().into_iter().collect();
+        let uses_a: BTreeSet<Reg> = a.uses().into_iter().collect();
+        let defs_b: BTreeSet<Reg> = b.defs().into_iter().collect();
+        let uses_b: BTreeSet<Reg> = b.uses().into_iter().collect();
+        // RAW / WAR / WAW
+        if defs_a.intersection(&uses_b).next().is_some()
+            || uses_a.intersection(&defs_b).next().is_some()
+            || defs_a.intersection(&defs_b).next().is_some()
+        {
+            return true;
+        }
+        // memory ordering: conservative — loads commute, everything else doesn't
+        match (a.mem_access(), b.mem_access()) {
+            (Some(ma), Some(mb)) => !(ma.is_load() && mb.is_load()),
+            _ => false,
+        }
+    }
+
+    /// Asserts that [`super::Footprint::depends`] agrees with [`depends`]
+    /// on every ordered pair of `block`.
+    pub(crate) fn assert_agrees(block: &[MInst], what: &str) {
+        let footprints: Vec<_> = block.iter().map(super::Footprint::of).collect();
+        for (i, a) in block.iter().enumerate() {
+            for (j, b) in block.iter().enumerate() {
+                assert_eq!(
+                    footprints[i].depends(&footprints[j]),
+                    depends(a, b),
+                    "{what}: dependence of `{a}` -> `{b}` differs"
+                );
+            }
+        }
+    }
 }
 
 #[cfg(test)]
